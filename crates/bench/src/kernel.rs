@@ -33,8 +33,9 @@ pub const FULL_INSTRUCTIONS: u64 = 4_000_000;
 /// Per-benchmark instruction budget under `--quick` (CI smoke mode).
 pub const QUICK_INSTRUCTIONS: u64 = 200_000;
 
-/// The size at which the baseline comparison runs (the acceptance point:
-/// current gshare at this size must beat the reference kernel by >= 2x).
+/// The size at which the baseline comparison runs. The target is for
+/// current gshare at this size to beat the reference kernel by 2x;
+/// `BENCH_simkernel.json` records 1.93x, and no gate enforces the target.
 pub const BASELINE_SIZE: usize = 4 * 1024;
 
 /// The gshare sizes swept in addition to the all-predictor comparison.

@@ -123,7 +123,8 @@ impl PassesReport {
     }
 
     /// Unfused-sequential over lockstep wall-clock — the full traversal
-    /// economy of the production grid path (the headline >= 2x target).
+    /// economy of the production grid path. The target is 2x;
+    /// `BENCH_passes.json` records 1.70x, and no gate enforces it.
     pub fn combined_speedup(&self) -> f64 {
         if self.lockstep.seconds > 0.0 {
             self.unfused.seconds / self.lockstep.seconds

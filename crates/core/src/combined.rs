@@ -1,6 +1,6 @@
 //! The combined static + dynamic predictor.
 
-use sdbp_predictors::{AnyPredictor, DynamicPredictor};
+use sdbp_predictors::{AnyPredictor, DynamicPredictor, Prediction};
 use sdbp_profiles::HintDatabase;
 use sdbp_trace::BranchAddr;
 use std::fmt;
@@ -81,8 +81,11 @@ pub struct CombinedPredictor {
     dynamic: AnyPredictor,
     hints: HintDatabase,
     shift_policy: ShiftPolicy,
-    /// Reused per-batch scratch for [`CombinedPredictor::resolve_batch`].
-    scratch: Vec<sdbp_predictors::Prediction>,
+    /// Reused per-batch scratch for [`CombinedPredictor::resolve_batch`]:
+    /// the dynamic predictions, and (under [`ShiftPolicy::NoShift`]) the
+    /// compacted dynamic events of a hinted chunk.
+    scratch: Vec<Prediction>,
+    dynamic_events: Vec<sdbp_trace::BranchEvent>,
 }
 
 impl CombinedPredictor {
@@ -104,6 +107,7 @@ impl CombinedPredictor {
             hints,
             shift_policy,
             scratch: Vec::new(),
+            dynamic_events: Vec::new(),
         }
     }
 
@@ -138,13 +142,13 @@ impl CombinedPredictor {
     }
 
     /// Predicts and trains for one resolved branch, returning how it was
-    /// handled. This is the per-branch hot path of the whole system: the
-    /// dynamic component is enum-dispatched, so for the built-in predictors
-    /// `predict`/`update` resolve statically instead of through a vtable.
+    /// handled. This is the per-event protocol itself, and the oracle the
+    /// batched [`CombinedPredictor::resolve_batch`] is tested against; the
+    /// simulator resolves whole chunks through the batch path instead.
     #[inline]
     pub fn resolve(&mut self, event: &sdbp_trace::BranchEvent) -> BranchResolution {
-        // Pure-dynamic configurations (empty hint database) are the common
-        // hot case; skip the per-branch hash probe entirely for them.
+        // Pure-dynamic configurations (empty hint database) skip the hash
+        // probe entirely.
         let hint = if self.hints.is_empty() {
             None
         } else {
@@ -155,44 +159,111 @@ impl CombinedPredictor {
                 if self.shift_policy == ShiftPolicy::Shift {
                     self.dynamic.shift_history(event.taken);
                 }
-                BranchResolution {
-                    predicted_taken: hint_taken,
-                    was_static: true,
-                    collision: false,
-                }
+                static_resolution(hint_taken)
             }
-            None => {
-                let pred = self.dynamic.predict_update(event.pc, event.taken);
-                BranchResolution {
-                    predicted_taken: pred.taken,
-                    was_static: false,
-                    collision: pred.collision,
-                }
-            }
+            None => dynamic_resolution(self.dynamic.predict_update(event.pc, event.taken)),
         }
     }
 
     /// Batched [`CombinedPredictor::resolve`]: appends one resolution per
-    /// event to `out`, in order, with identical observable behavior.
+    /// event to `out`, in order, with identical observable behavior. This
+    /// is the simulator's hot path.
     ///
-    /// Pure-dynamic configurations hand the whole batch to the dynamic
-    /// predictor's [`DynamicPredictor::predict_update_batch`], whose
-    /// hot-scheme overrides keep loop-carried state in registers across the
-    /// batch. Hinted configurations need the per-branch static/dynamic
-    /// decision and take the per-event path.
+    /// Every dynamic event goes through the dynamic predictor's
+    /// [`DynamicPredictor::predict_update_batch`], whose hot-scheme
+    /// overrides keep loop-carried state in registers across the batch.
+    /// Hinted configurations probe the hint database once per event and
+    /// split the chunk by policy:
+    ///
+    /// * [`ShiftPolicy::NoShift`]: static events never touch the predictor,
+    ///   so the dynamic events are compacted into a scratch buffer, resolved
+    ///   by **one** batch call, and scattered back into place.
+    /// * [`ShiftPolicy::Shift`]: each static event shifts the history, which
+    ///   the next dynamic event observes, so every maximal run of dynamic
+    ///   events becomes one batch call with a `shift_history` between runs.
+    ///
+    /// Both are the per-event protocol exactly, by the batch contract (a
+    /// batch equals `predict_update` per event) and chunk invariance.
     pub fn resolve_batch(
         &mut self,
         events: &[sdbp_trace::BranchEvent],
         out: &mut Vec<BranchResolution>,
     ) {
-        match self.try_resolve_batch_dynamic(events) {
-            Some(predictions) => out.extend(predictions.iter().map(|p| BranchResolution {
-                predicted_taken: p.taken,
-                was_static: false,
-                collision: p.collision,
-            })),
-            None => out.extend(events.iter().map(|e| self.resolve(e))),
+        if self.hints.is_empty() {
+            self.resolve_dynamic_run(events, out);
+            return;
         }
+        match self.shift_policy {
+            ShiftPolicy::NoShift => self.resolve_batch_compacted(events, out),
+            ShiftPolicy::Shift => self.resolve_batch_runs(events, out),
+        }
+    }
+
+    /// The [`ShiftPolicy::NoShift`] half of
+    /// [`CombinedPredictor::resolve_batch`]. Runs alone would average about
+    /// two events per batch call on the paper's workloads, where the call
+    /// overhead dominates; compaction keeps one call per chunk.
+    fn resolve_batch_compacted(
+        &mut self,
+        events: &[sdbp_trace::BranchEvent],
+        out: &mut Vec<BranchResolution>,
+    ) {
+        let base = out.len();
+        self.dynamic_events.clear();
+        for event in events {
+            match self.hints.get(event.pc) {
+                Some(hint_taken) => out.push(static_resolution(hint_taken)),
+                None => {
+                    self.dynamic_events.push(*event);
+                    // Placeholder, filled in by the scatter below.
+                    out.push(dynamic_resolution(Prediction {
+                        taken: false,
+                        collision: false,
+                    }));
+                }
+            }
+        }
+        self.scratch.clear();
+        self.dynamic
+            .predict_update_batch(&self.dynamic_events, &mut self.scratch);
+        debug_assert_eq!(self.scratch.len(), self.dynamic_events.len());
+        let slots = out[base..].iter_mut().filter(|r| !r.was_static);
+        for (slot, &p) in slots.zip(&self.scratch) {
+            *slot = dynamic_resolution(p);
+        }
+    }
+
+    /// The [`ShiftPolicy::Shift`] half of
+    /// [`CombinedPredictor::resolve_batch`].
+    fn resolve_batch_runs(
+        &mut self,
+        events: &[sdbp_trace::BranchEvent],
+        out: &mut Vec<BranchResolution>,
+    ) {
+        let mut run_start = 0;
+        for (i, event) in events.iter().enumerate() {
+            if let Some(hint_taken) = self.hints.get(event.pc) {
+                self.resolve_dynamic_run(&events[run_start..i], out);
+                self.dynamic.shift_history(event.taken);
+                out.push(static_resolution(hint_taken));
+                run_start = i + 1;
+            }
+        }
+        self.resolve_dynamic_run(&events[run_start..], out);
+    }
+
+    /// Resolves events known to be dynamic with one batch call.
+    fn resolve_dynamic_run(
+        &mut self,
+        run: &[sdbp_trace::BranchEvent],
+        out: &mut Vec<BranchResolution>,
+    ) {
+        if run.is_empty() {
+            return;
+        }
+        self.scratch.clear();
+        self.dynamic.predict_update_batch(run, &mut self.scratch);
+        out.extend(self.scratch.iter().map(|&p| dynamic_resolution(p)));
     }
 
     /// The pure-dynamic batch fast path: resolves `events` and returns the
@@ -203,7 +274,7 @@ impl CombinedPredictor {
     pub fn try_resolve_batch_dynamic(
         &mut self,
         events: &[sdbp_trace::BranchEvent],
-    ) -> Option<&[sdbp_predictors::Prediction]> {
+    ) -> Option<&[Prediction]> {
         if !self.hints.is_empty() {
             return None;
         }
@@ -227,6 +298,24 @@ impl fmt::Debug for CombinedPredictor {
             .field("hints", &self.hints.len())
             .field("shift_policy", &self.shift_policy)
             .finish()
+    }
+}
+
+#[inline]
+fn static_resolution(hint_taken: bool) -> BranchResolution {
+    BranchResolution {
+        predicted_taken: hint_taken,
+        was_static: true,
+        collision: false,
+    }
+}
+
+#[inline]
+fn dynamic_resolution(p: Prediction) -> BranchResolution {
+    BranchResolution {
+        predicted_taken: p.taken,
+        was_static: false,
+        collision: p.collision,
     }
 }
 

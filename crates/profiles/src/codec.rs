@@ -255,6 +255,24 @@ mod tests {
         );
     }
 
+    /// The hint map is keyed per database, so two databases holding the
+    /// same hints iterate in different orders; nothing published may show it.
+    #[test]
+    fn hint_bytes_do_not_depend_on_insertion_order_or_hash_keys() {
+        let hints: Vec<(BranchAddr, bool)> = (0..500u64)
+            .map(|i| (BranchAddr(0x1_0000 + i * 0x34), i % 3 != 0))
+            .collect();
+        let forward: HintDatabase = hints.iter().copied().collect();
+        let backward: HintDatabase = hints.iter().rev().copied().collect();
+        assert_eq!(forward, backward);
+        assert_eq!(forward.to_text(), backward.to_text());
+        assert_eq!(forward.to_bytes(), backward.to_bytes());
+        assert_eq!(
+            HintDatabase::from_bytes(&forward.to_bytes()).unwrap(),
+            backward
+        );
+    }
+
     #[test]
     fn profile_database_roundtrip_keeps_runs_in_order() {
         let mut db = ProfileDatabase::new("perl");

@@ -1,8 +1,10 @@
 //! The static-hint database.
 
 use sdbp_trace::BranchAddr;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 /// The set of branches selected for static prediction, with their hints.
 ///
@@ -25,7 +27,74 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HintDatabase {
-    hints: HashMap<BranchAddr, bool>,
+    hints: HashMap<BranchAddr, bool, PcHashBuilder>,
+}
+
+/// Keys [`PcHasher`]s for one hint database.
+///
+/// The measurement kernel probes the database once per branch of every
+/// hinted cell, where std's SipHash was the dominant cost. A branch address
+/// is a single `u64`, and one keyed multiply-fold mixes it well enough for
+/// hashbrown, which takes its bucket index from the low bits and its control
+/// byte from the top seven. The keys come from a fresh [`RandomState`] per
+/// database, so a crafted hint file cannot precompute colliding addresses
+/// any more than it could against the per-map SipHash keys. No serialized
+/// form depends on iteration order: `to_text` and the `sdbp-hints` codec
+/// both sort by address.
+#[derive(Clone)]
+struct PcHashBuilder {
+    seed: u64,
+    multiplier: u64,
+}
+
+impl Default for PcHashBuilder {
+    fn default() -> Self {
+        let keys = RandomState::new();
+        Self {
+            seed: keys.hash_one(0u64),
+            // Odd, so the multiply is a bijection on the low 64 bits.
+            multiplier: keys.hash_one(1u64) | 1,
+        }
+    }
+}
+
+impl BuildHasher for PcHashBuilder {
+    type Hasher = PcHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> PcHasher {
+        PcHasher {
+            state: self.seed,
+            multiplier: self.multiplier,
+        }
+    }
+}
+
+/// The multiply-fold hasher [`PcHashBuilder`] builds; see there.
+struct PcHasher {
+    state: u64,
+    multiplier: u64,
+}
+
+impl Hasher for PcHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.state ^ word) * u128::from(self.multiplier);
+        self.state = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    /// Only `BranchAddr`'s derived `Hash` (one `write_u64`) reaches this
+    /// hasher; byte input is mixed in a byte at a time for completeness.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
 }
 
 impl HintDatabase {
