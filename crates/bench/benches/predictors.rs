@@ -27,9 +27,8 @@ fn bench_predictors(c: &mut Criterion) {
                     .build();
                 let mut mispredicts = 0u64;
                 for e in &events {
-                    let pred = p.predict(e.pc);
+                    let pred = p.predict_update(e.pc, e.taken);
                     mispredicts += u64::from(pred.taken != e.taken);
-                    p.update(e.pc, e.taken);
                 }
                 mispredicts
             })
@@ -53,9 +52,8 @@ fn bench_predictor_sizes(c: &mut Criterion) {
                         .build();
                     let mut mispredicts = 0u64;
                     for e in &events {
-                        let pred = p.predict(e.pc);
+                        let pred = p.predict_update(e.pc, e.taken);
                         mispredicts += u64::from(pred.taken != e.taken);
-                        p.update(e.pc, e.taken);
                     }
                     mispredicts
                 })

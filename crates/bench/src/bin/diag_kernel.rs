@@ -37,9 +37,8 @@ fn main() {
         let mut p = Gshare::new(4096);
         let mut misses = 0u64;
         for e in events.iter() {
-            let pred = p.predict(e.pc);
+            let pred = p.predict_update(e.pc, e.taken);
             misses += u64::from(pred.taken != e.taken);
-            p.update(e.pc, e.taken);
         }
         misses
     });
@@ -48,9 +47,8 @@ fn main() {
         let mut p = ReferenceGshare::new(4096);
         let mut misses = 0u64;
         for e in events.iter() {
-            let pred = p.predict(e.pc);
+            let pred = p.predict_update(e.pc, e.taken);
             misses += u64::from(pred.taken != e.taken);
-            p.update(e.pc, e.taken);
         }
         misses
     });
@@ -60,9 +58,8 @@ fn main() {
         let mut p = black_box(boxed);
         let mut misses = 0u64;
         for e in events.iter() {
-            let pred = p.predict(e.pc);
+            let pred = p.predict_update(e.pc, e.taken);
             misses += u64::from(pred.taken != e.taken);
-            p.update(e.pc, e.taken);
         }
         misses
     });
@@ -71,9 +68,8 @@ fn main() {
         let mut p: AnyPredictor = Gshare::new(4096).into();
         let mut misses = 0u64;
         for e in events.iter() {
-            let pred = p.predict(e.pc);
+            let pred = p.predict_update(e.pc, e.taken);
             misses += u64::from(pred.taken != e.taken);
-            p.update(e.pc, e.taken);
         }
         misses
     });

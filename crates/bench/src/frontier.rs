@@ -205,7 +205,8 @@ pub fn frontier_specs(benchmarks: &[Benchmark], instructions: u64) -> (Vec<Exper
             let config = PredictorConfig::new(kind, crate::COMPARISON_SIZE)
                 .expect("the comparison size is a power of two");
             for scheme in frontier_schemes() {
-                if scheme.needs_interference_ranking() && !sdbp_profiles::exposes_indices(config) {
+                if scheme.needs_interference_ranking() && !config.index_capability().is_analyzable()
+                {
                     skipped += 1;
                     continue;
                 }

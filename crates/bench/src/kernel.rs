@@ -9,6 +9,12 @@
 //! the ratio isolates the kernel changes (bit-packed counters, enum
 //! dispatch, chunked event pulls) from everything else.
 //!
+//! The replica makes one virtual `predict_update` call per dynamically
+//! predicted event. The pre-optimization kernel made two (`predict`, then
+//! `update`), and the checked-in `BENCH_simkernel.json` baseline row was
+//! recorded that way, so a fresh run's baseline row is not directly
+//! comparable with the checked-in one.
+//!
 //! Consumed by the `simkernel` criterion bench (`cargo bench -p sdbp-bench
 //! --bench simkernel`) and the `sdbp bench-kernel` subcommand, which writes
 //! the machine-readable `BENCH_simkernel.json` used by CI and the
@@ -184,7 +190,6 @@ pub struct ReferenceGshare {
     table: ReferenceTable,
     history: HistoryRegister,
     history_len: u32,
-    latched: Option<(BranchAddr, u64)>,
 }
 
 impl ReferenceGshare {
@@ -196,7 +201,6 @@ impl ReferenceGshare {
             history: HistoryRegister::new(history_len),
             history_len,
             table,
-            latched: None,
         }
     }
 
@@ -220,18 +224,15 @@ impl DynamicPredictor for ReferenceGshare {
         self.table.size_bytes()
     }
 
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
+    fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction {
         let index = self.index(pc);
-        let (taken, collision) = self.table.lookup(index, pc);
-        self.latched = Some((pc, index));
-        Prediction { taken, collision }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let (latched_pc, index) = self.latched.take().expect("update without predict");
-        assert_eq!(latched_pc, pc, "gshare-reference: update pc mismatch");
+        let (predicted, collision) = self.table.lookup(index, pc);
         self.table.train(index, taken);
         self.history.push(taken);
+        Prediction {
+            taken: predicted,
+            collision,
+        }
     }
 
     fn shift_history(&mut self, taken: bool) {
@@ -290,7 +291,7 @@ pub fn current_kernel_pass(
 
 /// A line-for-line replica of the pre-optimization combined predictor: the
 /// dynamic component behind a `Box<dyn DynamicPredictor>` **field** (so
-/// every `predict`/`update` is a virtual call, as it was when the concrete
+/// every `predict_update` is a virtual call, as it was when the concrete
 /// type was erased at a crate boundary) and an unconditional per-branch
 /// hint-database probe.
 struct BaselineCombined {
@@ -313,8 +314,7 @@ impl BaselineCombined {
                 }
             }
             None => {
-                let pred = self.dynamic.predict(event.pc);
-                self.dynamic.update(event.pc, event.taken);
+                let pred = self.dynamic.predict_update(event.pc, event.taken);
                 BranchResolution {
                     predicted_taken: pred.taken,
                     was_static: false,
@@ -495,11 +495,9 @@ mod tests {
         assert_eq!(packed.size_bytes(), reference.size_bytes());
         for events in &suite {
             for e in events.iter() {
-                let a = packed.predict(e.pc);
-                let b = reference.predict(e.pc);
+                let a = packed.predict_update(e.pc, e.taken);
+                let b = reference.predict_update(e.pc, e.taken);
                 assert_eq!(a, b);
-                packed.update(e.pc, e.taken);
-                reference.update(e.pc, e.taken);
             }
         }
         assert_eq!(packed.total_collisions(), reference.total_collisions());

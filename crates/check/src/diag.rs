@@ -4,9 +4,10 @@
 //! [`Code`] (`SDBP001`…), a [`Severity`], an optional [`Span`] locating the
 //! offending field, an optional suggestion, and free-form notes. A
 //! [`Diagnostics`] collection renders either as human-readable text or as
-//! machine-readable JSON (hand-rolled — this workspace is offline and
-//! dependency-free).
+//! machine-readable JSON (through the workspace's dependency-free
+//! [`Json`] writer).
 
+use sdbp_artifacts::Json;
 use std::fmt;
 
 /// How serious a finding is.
@@ -287,49 +288,34 @@ impl Diagnostics {
     /// Each diagnostic object carries `code`, `severity`, `message`, and —
     /// when present — `origin`, `field`, `line`, `suggestion`, and `notes`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"diagnostics\":[");
-        for (i, d) in self.items.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":{}",
-                d.code,
-                d.severity,
-                json_string(&d.message)
-            ));
+        let diagnostics = self.items.iter().map(|d| {
+            let mut members = vec![
+                ("code", Json::str(d.code.to_string())),
+                ("severity", Json::str(d.severity.label())),
+                ("message", Json::str(&d.message)),
+            ];
             if let Some(span) = &d.span {
-                out.push_str(&format!(
-                    ",\"origin\":{},\"field\":{}",
-                    json_string(&span.origin),
-                    json_string(&span.field)
-                ));
+                members.push(("origin", Json::str(&span.origin)));
+                members.push(("field", Json::str(&span.field)));
                 if let Some(line) = span.line {
-                    out.push_str(&format!(",\"line\":{line}"));
+                    members.push(("line", Json::Int(line as i64)));
                 }
             }
             if let Some(suggestion) = &d.suggestion {
-                out.push_str(&format!(",\"suggestion\":{}", json_string(suggestion)));
+                members.push(("suggestion", Json::str(suggestion)));
             }
             if !d.notes.is_empty() {
-                out.push_str(",\"notes\":[");
-                for (j, note) in d.notes.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&json_string(note));
-                }
-                out.push(']');
+                members.push(("notes", Json::Arr(d.notes.iter().map(Json::str).collect())));
             }
-            out.push('}');
-        }
-        out.push_str(&format!(
-            "],\"errors\":{},\"warnings\":{},\"notes\":{}}}",
-            self.errors(),
-            self.warnings(),
-            self.notes()
-        ));
-        out
+            Json::obj(members)
+        });
+        Json::obj([
+            ("diagnostics", Json::Arr(diagnostics.collect())),
+            ("errors", Json::Int(self.errors() as i64)),
+            ("warnings", Json::Int(self.warnings() as i64)),
+            ("notes", Json::Int(self.notes() as i64)),
+        ])
+        .render()
     }
 }
 
@@ -340,25 +326,6 @@ impl IntoIterator for Diagnostics {
     fn into_iter(self) -> Self::IntoIter {
         self.items.into_iter()
     }
-}
-
-/// Escapes `s` as a JSON string literal (with surrounding quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -450,12 +417,6 @@ note[SDBP040]: predicted hotspot at 0x80
             "],\"errors\":1,\"warnings\":1,\"notes\":1}"
         );
         assert_eq!(rendered, expected);
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -413,7 +413,8 @@ pub fn grid(args: &Args) -> CmdResult {
             let config = PredictorConfig::new(kind, size).map_err(|e| e.to_string())?;
             let mut row = Vec::new();
             for &scheme in &schemes {
-                if scheme.needs_interference_ranking() && !sdbp_profiles::exposes_indices(config) {
+                if scheme.needs_interference_ranking() && !config.index_capability().is_analyzable()
+                {
                     row.push(None);
                     continue;
                 }

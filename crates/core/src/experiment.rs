@@ -691,31 +691,12 @@ impl Lab {
         Ok((combined, hints_len))
     }
 
-    /// Runs one experiment end to end (phase one + phase two).
+    /// Runs one experiment end to end (phase one + phase two): a lockstep
+    /// group of one.
     pub fn run(&self, spec: &ExperimentSpec) -> Result<Report, ExperimentError> {
-        let (mut combined, hints_len) = self.phase_one(spec)?;
-        let measure_budget = spec.budget(spec.measure_input, spec.measure_instructions);
-        // The measurement phase rides the cache-aware pass runner: cached
-        // streams replay zero-copy, and budgets too large for the trace
-        // store stream straight off the generator in chunk-sized memory.
-        let mut measure = MeasurePass::new(&mut combined).with_warmup(spec.warmup_instructions);
-        self.cache.run_passes(
-            spec.benchmark,
-            spec.measure_input,
-            spec.seed,
-            measure_budget,
-            &mut [&mut measure],
-        );
-        let stats = measure.into_stats();
-        Ok(Report {
-            benchmark: spec.benchmark,
-            predictor: spec.predictor,
-            scheme_label: spec.scheme.label(),
-            shift: spec.shift,
-            measure_input: spec.measure_input,
-            hints: hints_len,
-            stats,
-        })
+        self.run_lockstep(&[spec])
+            .pop()
+            .expect("one result per spec")
     }
 
     /// Runs a group of experiments whose measurement runs share one event
@@ -724,7 +705,7 @@ impl Lab {
     /// memoized by the cache), then every member's measurement pass rides a
     /// single traversal of the shared stream instead of one traversal per
     /// member. Results come back in `specs` order and are bit-identical to
-    /// [`Lab::run`] on each member — measurement passes are independent
+    /// running each member alone — measurement passes are independent
     /// chunk-invariant consumers, which is exactly the pass framework's
     /// lockstep guarantee (see `sdbp_passes::LockstepRunner`).
     ///

@@ -398,8 +398,7 @@ impl Sweep {
                         };
                         let group_started = Instant::now();
                         // Rejected members report without running; the rest
-                        // share one traversal (a singleton group degenerates
-                        // to the classic one-cell-one-traversal run).
+                        // share one traversal.
                         let mut outcomes: Vec<Option<Result<Report, ExperimentError>>> =
                             vec![None; group.len()];
                         let mut member_pos: Vec<usize> = Vec::new();
@@ -413,14 +412,9 @@ impl Sweep {
                                 }
                             }
                         }
-                        if member_specs.len() == 1 {
-                            outcomes[member_pos[0]] = Some(lab.run(member_specs[0]));
-                        } else if !member_specs.is_empty() {
-                            for (pos, outcome) in
-                                member_pos.iter().zip(lab.run_lockstep(&member_specs))
-                            {
-                                outcomes[*pos] = Some(outcome);
-                            }
+                        for (pos, outcome) in member_pos.iter().zip(lab.run_lockstep(&member_specs))
+                        {
+                            outcomes[*pos] = Some(outcome);
                         }
                         // The traversal is shared, so wall time is attributed
                         // evenly across the group's cells.

@@ -320,8 +320,8 @@ impl PredictorConfig {
 
     /// Instantiates the predictor behind the enum-dispatched
     /// [`AnyPredictor`], the form the simulation hot path wants: the inner
-    /// loop then resolves `predict`/`update` by discriminant match instead
-    /// of virtual calls. Sizing rules are identical to
+    /// loop then resolves `predict_update` by discriminant match instead
+    /// of a virtual call. Sizing rules are identical to
     /// [`PredictorConfig::build`].
     pub fn build_any(&self) -> AnyPredictor {
         match self.kind {
@@ -409,8 +409,7 @@ mod tests {
             // Every predictor must run the basic protocol.
             for i in 0..100u64 {
                 let pc = BranchAddr(0x1000 + 4 * (i % 10));
-                let _ = p.predict(pc);
-                p.update(pc, i % 2 == 0);
+                p.predict_update(pc, i % 2 == 0);
                 p.shift_history(i % 3 == 0);
             }
         }

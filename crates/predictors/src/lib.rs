@@ -15,7 +15,8 @@
 //! * are parameterized by their **hardware budget in bytes** exactly like the
 //!   paper (2-bit saturating counters, so a 4 KB predictor holds 16K
 //!   counters),
-//! * share the [`DynamicPredictor`] trait — `predict` then `update`, plus
+//! * share the [`DynamicPredictor`] trait — one `predict_update` per
+//!   resolved branch (plus a batch kernel tested against it), and
 //!   `shift_history` so a combined static/dynamic scheme can decide whether
 //!   statically predicted branches enter the global history (§4 of the
 //!   paper),
@@ -31,9 +32,8 @@
 //!
 //! let mut p = Gshare::new(4096); // a 4 KB gshare
 //! let pc = BranchAddr(0x1200);
-//! let pred = p.predict(pc);
-//! p.update(pc, true);
-//! assert!(pred.taken || !pred.taken); // some prediction was produced
+//! let first = p.predict_update(pc, true);
+//! assert!(!first.taken, "counters start weakly not-taken");
 //! assert_eq!(p.size_bytes(), 4096);
 //! ```
 

@@ -121,16 +121,6 @@ pub fn history_samples(bits: u32, options: &InterferenceOptions) -> Vec<u64> {
     samples
 }
 
-/// Whether `config`'s scheme exposes its index function to static analysis
-/// — i.e. whether [`rank_interference`] can return a ranking for it. The
-/// chooser-based hybrids (bi-mode, 2bcgskew, yags, agree, tournament) and
-/// the per-branch-history local predictor do not; everything indexed by
-/// pure `(pc, history)` functions does. A thin convenience over the one
-/// capability source, [`PredictorConfig::index_capability`].
-pub fn exposes_indices(config: PredictorConfig) -> bool {
-    config.index_capability().is_analyzable()
-}
-
 /// Statically ranks destructive interference of `config` on the branches in
 /// `profile`.
 ///
@@ -328,7 +318,11 @@ mod tests {
             (PredictorKind::Agree, false),
             (PredictorKind::Local, false),
         ] {
-            assert_eq!(exposes_indices(config(kind, 4096)), transparent, "{kind}");
+            assert_eq!(
+                config(kind, 4096).index_capability().is_analyzable(),
+                transparent,
+                "{kind}"
+            );
         }
     }
 

@@ -55,7 +55,7 @@ pub use bias::BiasProfile;
 pub use database::ProfileDatabase;
 pub use hints::HintDatabase;
 pub use interference::{
-    exposes_indices, history_samples, rank_interference, InterferenceHotspot, InterferenceOptions,
+    history_samples, rank_interference, InterferenceHotspot, InterferenceOptions,
     InterferenceRanking,
 };
 pub use passes::{AccuracyPass, BiasPass};
