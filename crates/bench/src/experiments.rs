@@ -16,15 +16,14 @@ use crate::{improvement_pct, measure_budget, run_grid, spec, COMPARISON_SIZE, SE
 use sdbp_core::{ExperimentSpec, Lab, ProfileSource, ShiftPolicy};
 use sdbp_predictors::PredictorKind;
 use sdbp_profiles::SelectionScheme;
-use sdbp_trace::{SliceSource, TraceStats};
 use sdbp_util::table::{fixed, grouped, pct, TableWriter};
 use sdbp_workloads::{Benchmark, InputSet, Workload};
 
 /// Table 1 — program characteristics.
 ///
-/// Not a predictor grid, so it runs serially, but its train/ref event
-/// streams go through the lab's artifact cache — Table 5 measures the
-/// identical streams and reuses them for free.
+/// Not a predictor grid, so it runs serially, but the statistics of its
+/// train/ref event streams go through the lab's artifact cache — Table 5
+/// compares the identical streams and reuses them for free.
 pub fn table1(lab: &Lab) -> String {
     let mut table = TableWriter::with_columns(&[
         "Program",
@@ -48,8 +47,7 @@ pub fn table1(lab: &Lab) -> String {
         for input in [InputSet::Train, InputSet::Ref] {
             let budget =
                 (workload.spec().default_instructions(input) as f64 * crate::scale()) as u64;
-            let events = lab.cache().events(benchmark, input, SEED, budget);
-            let stats = TraceStats::from_source(SliceSource::new(&events));
+            let stats = lab.cache().trace_stats(benchmark, input, SEED, budget);
             row.push(grouped(stats.total_instructions()));
             row.push(fixed(stats.cbrs_per_ki(), 0));
         }
@@ -105,11 +103,9 @@ pub fn table2(lab: &Lab) -> String {
     ]);
     table.numeric();
     for benchmark in benchmarks {
-        // The measurement stream is already in the cache from the sweep above.
-        let events = lab
+        let stats = lab
             .cache()
-            .events(benchmark, InputSet::Ref, SEED, measure_budget());
-        let stats = TraceStats::from_source(SliceSource::new(&events));
+            .trace_stats(benchmark, InputSet::Ref, SEED, measure_budget());
         let mut row = vec![
             benchmark.name().to_string(),
             pct(stats.dynamic_fraction_biased(0.95)),
@@ -359,8 +355,8 @@ pub fn table4(lab: &Lab) -> String {
 
 /// Table 5 — train-vs-ref branch behavior.
 ///
-/// Serial like Table 1, but it measures the same cached train/ref event
-/// streams, so after Table 1 every stream here is a cache hit.
+/// Serial like Table 1, and it compares the same train/ref streams, so after
+/// Table 1 the statistics of every stream here are a cache hit.
 pub fn table5(lab: &Lab) -> String {
     let mut table = TableWriter::with_columns(&[
         "Program",
@@ -379,14 +375,12 @@ pub fn table5(lab: &Lab) -> String {
             (workload.spec().default_instructions(InputSet::Train) as f64 * crate::scale()) as u64;
         let ref_budget =
             (workload.spec().default_instructions(InputSet::Ref) as f64 * crate::scale()) as u64;
-        let train_events = lab
+        let train = lab
             .cache()
-            .events(benchmark, InputSet::Train, SEED, train_budget);
-        let ref_events = lab
+            .trace_stats(benchmark, InputSet::Train, SEED, train_budget);
+        let reference = lab
             .cache()
-            .events(benchmark, InputSet::Ref, SEED, ref_budget);
-        let train = TraceStats::from_source(SliceSource::new(&train_events));
-        let reference = TraceStats::from_source(SliceSource::new(&ref_events));
+            .trace_stats(benchmark, InputSet::Ref, SEED, ref_budget);
         let cmp = reference.compare(&train);
         let frac = |n: u64| {
             if cmp.common_static == 0 {
@@ -836,6 +830,18 @@ mod tests {
                 "suite never exercises {kind}"
             );
         }
+    }
+
+    #[test]
+    fn suite_repeats_cells_across_grids() {
+        // The tables share their baselines; each distinct cell is measured
+        // once per cache, so this count is what a full run measures.
+        let specs = suite_specs();
+        let distinct: std::collections::HashSet<_> = specs
+            .iter()
+            .map(|s| (s.benchmark, sdbp_core::spec_digest(s)))
+            .collect();
+        assert_eq!((specs.len(), distinct.len()), (471, 322));
     }
 
     #[test]

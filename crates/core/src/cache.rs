@@ -22,17 +22,30 @@
 //! least-recently-used once their summed instruction budgets exceed a cap
 //! (default 128 M instructions, override with `SDBP_TRACE_CACHE`; `0`
 //! disables trace caching entirely). Profiles are small and never evicted.
+//!
+//! Two more artifacts live in memory only: the [`TraceStats`] of a stream
+//! (Tables 1, 2 and 5 read the same streams' statistics) and the finished
+//! [`Report`] of every measured cell, keyed by [`ReportKey`]. The paper's
+//! tables share their baselines, so the same cell recurs across grids;
+//! [`Lab::run_lockstep`](crate::Lab::run_lockstep) measures each distinct
+//! cell once per cache and answers repeats from the memo. Only successful
+//! reports are stored — an error is reported again every time.
+//!
+//! A panic while computing an artifact leaves its slot empty (the next
+//! caller computes it again) and never leaves a map half-updated, so every
+//! lock recovers from poisoning instead of propagating the panic.
 
+use crate::report::Report;
 use sdbp_artifacts::{Codec, Digest, Hasher, Store, StoreError};
 use sdbp_passes::{Pass, PassRunner, TraversalStats};
 use sdbp_predictors::PredictorConfig;
 use sdbp_profiles::{AccuracyPass, AccuracyProfile, BiasPass, BiasProfile};
-use sdbp_trace::{BranchEvent, BranchSource, SliceSource};
+use sdbp_trace::{BranchEvent, BranchSource, SliceSource, TraceStats};
 use sdbp_workloads::{imports, open_source, Benchmark, InputSet};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The memoization key: a fully determined generated run.
 ///
@@ -40,6 +53,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// in particular the same benchmark under a **different seed is a miss**
 /// (its event stream is a different random draw).
 pub type ArtifactKey = (Benchmark, InputSet, u64, u64);
+
+/// The memoization key of a measured cell: its benchmark and its
+/// [`spec_digest`](crate::spec_digest).
+///
+/// The digest encodes the benchmark by display name, so an imported trace
+/// named after a synthetic benchmark (say `gcc`) has the digest of the
+/// synthetic cell; the [`Benchmark`] value keeps the two apart.
+pub type ReportKey = (Benchmark, Digest);
 
 /// Default trace-store capacity in summed instruction budgets.
 pub const DEFAULT_TRACE_CACHE_INSTRUCTIONS: u64 = 128_000_000;
@@ -49,7 +70,9 @@ pub const DEFAULT_TRACE_CACHE_INSTRUCTIONS: u64 = 128_000_000;
 /// A *miss* is a call that performed the computation; a *hit* found the
 /// artifact already present (or waited for another thread computing it).
 /// `trace_bypassed` counts event streams regenerated without caching
-/// because their budget exceeded the trace-store capacity.
+/// because their budget exceeded the trace-store capacity. Report and
+/// trace-statistics hits are counted on their own and stay out of
+/// [`CacheStats::hits`], like the disk tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Bias-profile lookups served from the cache.
@@ -80,6 +103,11 @@ pub struct CacheStats {
     /// shared traversal saves `m - 1` traversals over the sequential
     /// one-cell-per-traversal protocol.
     pub lockstep_traversals_saved: u64,
+    /// Cells answered with an already measured report instead of being
+    /// measured again.
+    pub report_hits: u64,
+    /// Trace-statistics lookups served from the cache.
+    pub trace_stats_hits: u64,
 }
 
 impl CacheStats {
@@ -120,6 +148,8 @@ impl CacheStats {
             fused_traversals_saved: self.fused_traversals_saved - earlier.fused_traversals_saved,
             lockstep_traversals_saved: self.lockstep_traversals_saved
                 - earlier.lockstep_traversals_saved,
+            report_hits: self.report_hits - earlier.report_hits,
+            trace_stats_hits: self.trace_stats_hits - earlier.trace_stats_hits,
         }
     }
 }
@@ -159,11 +189,26 @@ impl fmt::Display for CacheStats {
                 self.lockstep_traversals_saved
             )?;
         }
+        if self.report_hits > 0 {
+            write!(f, ", reports {} hit", self.report_hits)?;
+        }
+        if self.trace_stats_hits > 0 {
+            write!(f, ", trace stats {} hit", self.trace_stats_hits)?;
+        }
         Ok(())
     }
 }
 
 type Slot<T> = Arc<OnceLock<Arc<T>>>;
+
+/// Locks a cache map, recovering it if a panicking thread poisoned it.
+///
+/// Every critical section leaves its map valid at each step (an entry is
+/// inserted, touched or removed whole, and artifacts are computed outside
+/// the lock), so a poisoned map is still a correct cache.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct TraceEntry {
     slot: Slot<Vec<BranchEvent>>,
@@ -186,6 +231,8 @@ pub struct ArtifactCache {
     bias: Mutex<HashMap<ArtifactKey, Slot<BiasProfile>>>,
     accuracy: Mutex<HashMap<(ArtifactKey, PredictorConfig), Slot<AccuracyProfile>>>,
     traces: Mutex<TraceStore>,
+    trace_stats: Mutex<HashMap<ArtifactKey, Slot<TraceStats>>>,
+    reports: Mutex<HashMap<ReportKey, Report>>,
     disk: OnceLock<Arc<Store>>,
     bias_hits: AtomicU64,
     bias_misses: AtomicU64,
@@ -198,6 +245,8 @@ pub struct ArtifactCache {
     disk_misses: AtomicU64,
     fused_traversals_saved: AtomicU64,
     lockstep_traversals_saved: AtomicU64,
+    report_hits: AtomicU64,
+    trace_stats_hits: AtomicU64,
 }
 
 impl ArtifactCache {
@@ -223,6 +272,8 @@ impl ArtifactCache {
                 capacity,
                 tick: 0,
             }),
+            trace_stats: Mutex::new(HashMap::new()),
+            reports: Mutex::new(HashMap::new()),
             disk: OnceLock::new(),
             bias_hits: AtomicU64::new(0),
             bias_misses: AtomicU64::new(0),
@@ -235,6 +286,8 @@ impl ArtifactCache {
             disk_misses: AtomicU64::new(0),
             fused_traversals_saved: AtomicU64::new(0),
             lockstep_traversals_saved: AtomicU64::new(0),
+            report_hits: AtomicU64::new(0),
+            trace_stats_hits: AtomicU64::new(0),
         }
     }
 
@@ -266,6 +319,8 @@ impl ArtifactCache {
             disk_misses: self.disk_misses.load(Ordering::Relaxed),
             fused_traversals_saved: self.fused_traversals_saved.load(Ordering::Relaxed),
             lockstep_traversals_saved: self.lockstep_traversals_saved.load(Ordering::Relaxed),
+            report_hits: self.report_hits.load(Ordering::Relaxed),
+            trace_stats_hits: self.trace_stats_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -280,19 +335,40 @@ impl ArtifactCache {
         }
     }
 
+    /// The memoized report of a measured cell, counted as a report hit when
+    /// present.
+    pub(crate) fn report(&self, key: &ReportKey) -> Option<Report> {
+        let report = lock(&self.reports).get(key).cloned();
+        if report.is_some() {
+            self.report_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        report
+    }
+
+    /// Memoizes the report of a successfully measured cell. Reports are
+    /// deterministic, so a racing second insert stores an equal report.
+    pub(crate) fn store_report(&self, key: ReportKey, report: &Report) {
+        lock(&self.reports).insert(key, report.clone());
+    }
+
     /// Number of distinct bias profiles held.
     pub fn bias_profiles(&self) -> usize {
-        self.bias.lock().expect("cache lock").len()
+        lock(&self.bias).len()
     }
 
     /// Number of distinct accuracy profiles held.
     pub fn accuracy_profiles(&self) -> usize {
-        self.accuracy.lock().expect("cache lock").len()
+        lock(&self.accuracy).len()
     }
 
     /// Number of event streams currently resident in the trace store.
     pub fn cached_traces(&self) -> usize {
-        self.traces.lock().expect("cache lock").entries.len()
+        lock(&self.traces).entries.len()
+    }
+
+    /// Number of measured cells whose reports are memoized.
+    pub fn cached_reports(&self) -> usize {
+        lock(&self.reports).len()
     }
 
     /// The (cached) branch event stream of a generated run.
@@ -307,13 +383,13 @@ impl ArtifactCache {
         instructions: u64,
     ) -> Arc<Vec<BranchEvent>> {
         let key = (benchmark, input, seed, instructions);
-        let capacity = self.traces.lock().expect("cache lock").capacity;
+        let capacity = lock(&self.traces).capacity;
         if instructions > capacity {
             self.trace_bypassed.fetch_add(1, Ordering::Relaxed);
             return Arc::new(generate_events(key));
         }
         let slot = {
-            let mut store = self.traces.lock().expect("cache lock");
+            let mut store = lock(&self.traces);
             store.tick += 1;
             let tick = store.tick;
             let entry = store.entries.entry(key).or_insert_with(|| TraceEntry {
@@ -338,6 +414,32 @@ impl ArtifactCache {
         Arc::clone(events)
     }
 
+    /// The (cached) statistics of a generated run's event stream.
+    pub fn trace_stats(
+        &self,
+        benchmark: Benchmark,
+        input: InputSet,
+        seed: u64,
+        instructions: u64,
+    ) -> Arc<TraceStats> {
+        let key = (benchmark, input, seed, instructions);
+        let slot = Arc::clone(
+            lock(&self.trace_stats)
+                .entry(key)
+                .or_insert_with(|| Arc::new(OnceLock::new())),
+        );
+        let mut computed = false;
+        let stats = slot.get_or_init(|| {
+            computed = true;
+            let events = self.events(benchmark, input, seed, instructions);
+            Arc::new(TraceStats::from_source(SliceSource::new(&events)))
+        });
+        if !computed {
+            self.trace_stats_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Arc::clone(stats)
+    }
+
     /// Streams one generated run through `passes` in a single traversal.
     ///
     /// This is the cache-aware entry point of the pass framework: cached
@@ -355,7 +457,7 @@ impl ArtifactCache {
         instructions: u64,
         passes: &mut [&mut dyn Pass],
     ) -> TraversalStats {
-        let capacity = self.traces.lock().expect("cache lock").capacity;
+        let capacity = lock(&self.traces).capacity;
         if instructions > capacity {
             self.trace_bypassed.fetch_add(1, Ordering::Relaxed);
             let source = open_source(benchmark, input, seed).take_instructions(instructions);
@@ -391,11 +493,11 @@ impl ArtifactCache {
         // Claim every slot up front (short map locks, as in the sequential
         // paths), then decide which artifacts actually need computing.
         let bias_slot = {
-            let mut map = self.bias.lock().expect("cache lock");
+            let mut map = lock(&self.bias);
             Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
         };
         let acc_slots: Vec<Slot<AccuracyProfile>> = {
-            let mut map = self.accuracy.lock().expect("cache lock");
+            let mut map = lock(&self.accuracy);
             predictors
                 .iter()
                 .map(|&p| {
@@ -513,7 +615,7 @@ impl ArtifactCache {
     /// Drops completed least-recently-used traces until the store fits its
     /// capacity again (never the entry just touched).
     fn evict_lru(&self, keep: ArtifactKey) {
-        let mut store = self.traces.lock().expect("cache lock");
+        let mut store = lock(&self.traces);
         let mut total: u64 = store
             .entries
             .values()
@@ -544,7 +646,7 @@ impl ArtifactCache {
     ) -> Arc<BiasProfile> {
         let key = (benchmark, input, seed, instructions);
         let slot = {
-            let mut map = self.bias.lock().expect("cache lock");
+            let mut map = lock(&self.bias);
             Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
         };
         let mut computed = false;
@@ -580,7 +682,7 @@ impl ArtifactCache {
     ) -> Arc<AccuracyProfile> {
         let key = ((benchmark, input, seed, instructions), predictor);
         let slot = {
-            let mut map = self.accuracy.lock().expect("cache lock");
+            let mut map = lock(&self.accuracy);
             Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
         };
         let mut computed = false;
@@ -730,6 +832,7 @@ impl fmt::Debug for ArtifactCache {
             .field("bias_profiles", &self.bias_profiles())
             .field("accuracy_profiles", &self.accuracy_profiles())
             .field("cached_traces", &self.cached_traces())
+            .field("cached_reports", &self.cached_reports())
             .field("stats", &self.stats())
             .finish()
     }
@@ -1058,6 +1161,56 @@ mod tests {
         assert_eq!(s.lockstep_traversals_saved, 5);
         assert_eq!(s.since(&before).lockstep_traversals_saved, 5);
         assert!(format!("{s}").contains("5 traversals saved by lockstep"));
+    }
+
+    #[test]
+    fn trace_stats_are_computed_once_per_stream() {
+        let c = cache();
+        let a = c.trace_stats(Benchmark::Go, InputSet::Train, 7, BUDGET);
+        let b = c.trace_stats(Benchmark::Go, InputSet::Train, 7, BUDGET);
+        assert!(Arc::ptr_eq(&a, &b), "second lookup must share the Arc");
+        let fresh = TraceStats::from_source(SliceSource::new(&generate_events((
+            Benchmark::Go,
+            InputSet::Train,
+            7,
+            BUDGET,
+        ))));
+        assert_eq!(a.total_instructions(), fresh.total_instructions());
+        assert_eq!(a.static_branches(), fresh.static_branches());
+        assert_eq!(
+            a.dynamic_fraction_biased(0.95),
+            fresh.dynamic_fraction_biased(0.95)
+        );
+        let s = c.stats();
+        assert_eq!((s.trace_stats_hits, s.trace_misses), (1, 1));
+        assert_eq!(s.since(&CacheStats::default()).trace_stats_hits, 1);
+        assert!(format!("{s}").contains("trace stats 1 hit"), "{s}");
+    }
+
+    #[test]
+    fn poisoned_maps_still_serve() {
+        use crate::{ExperimentSpec, Lab};
+        use sdbp_profiles::SelectionScheme;
+        let c = Arc::new(cache());
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _reports = c.reports.lock().unwrap();
+            let _stats = c.trace_stats.lock().unwrap();
+            let _traces = c.traces.lock().unwrap();
+            panic!("poison the maps");
+        }));
+        assert!(c.reports.is_poisoned() && c.traces.is_poisoned());
+        let spec = ExperimentSpec::self_trained(
+            Benchmark::Compress,
+            PredictorConfig::new(PredictorKind::Gshare, 1024).unwrap(),
+            SelectionScheme::static_95(),
+        )
+        .with_instructions(BUDGET);
+        let lab = Lab::with_cache(Arc::clone(&c));
+        let first = lab.run(&spec).unwrap();
+        assert_eq!(lab.run(&spec).unwrap(), first);
+        assert_eq!(c.stats().report_hits, 1);
+        let _ = c.trace_stats(Benchmark::Compress, InputSet::Ref, 2000, BUDGET);
+        assert_eq!(c.stats().trace_stats_hits, 0);
     }
 
     #[test]

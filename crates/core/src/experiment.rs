@@ -6,7 +6,8 @@
 //! self-trained (§5's upper bound), naive cross-trained, and cross-trained
 //! with the merged/filtered Spike-style database (§5.1 / Figure 13).
 
-use crate::cache::ArtifactCache;
+use crate::cache::{ArtifactCache, ReportKey};
+use crate::codec::spec_digest;
 use crate::combined::{CombinedPredictor, ShiftPolicy};
 use crate::report::Report;
 use crate::simulator::MeasurePass;
@@ -344,6 +345,13 @@ pub enum ExperimentError {
         /// What the validation found.
         source: CodecError,
     },
+    /// The cell's code panicked. A [`Sweep`](crate::Sweep) catches the panic
+    /// of a lockstep group, reports it for every member of that group, and
+    /// finishes the other groups.
+    Panicked {
+        /// The panic payload, when it was a string.
+        message: String,
+    },
     /// An error replayed from a previous run's manifest whose precise
     /// variant could not be reconstructed; `kind` preserves the original
     /// class label.
@@ -366,6 +374,7 @@ impl ExperimentError {
             ExperimentError::Io { .. } => "io",
             ExperimentError::Codec { .. } => "codec",
             ExperimentError::StoreCorrupt { .. } => "store-corrupt",
+            ExperimentError::Panicked { .. } => "panicked",
             ExperimentError::Replayed { kind, .. } => kind,
         }
     }
@@ -376,9 +385,11 @@ impl PartialEq for ExperimentError {
         match (self, other) {
             (ExperimentError::Select(a), ExperimentError::Select(b)) => a == b,
             (ExperimentError::Rejected { reason: a }, ExperimentError::Rejected { reason: b })
-            | (ExperimentError::Skipped { reason: a }, ExperimentError::Skipped { reason: b }) => {
-                a == b
-            }
+            | (ExperimentError::Skipped { reason: a }, ExperimentError::Skipped { reason: b })
+            | (
+                ExperimentError::Panicked { message: a },
+                ExperimentError::Panicked { message: b },
+            ) => a == b,
             (
                 ExperimentError::Io {
                     context: ca,
@@ -441,6 +452,7 @@ impl fmt::Display for ExperimentError {
             ExperimentError::StoreCorrupt { path, source } => {
                 write!(f, "corrupt artifact at {path}: {source}")
             }
+            ExperimentError::Panicked { message } => write!(f, "cell panicked: {message}"),
             ExperimentError::Replayed { kind, message } => {
                 write!(f, "replayed {kind} error from manifest: {message}")
             }
@@ -457,6 +469,7 @@ impl std::error::Error for ExperimentError {
             | ExperimentError::StoreCorrupt { source, .. } => Some(source),
             ExperimentError::Rejected { .. }
             | ExperimentError::Skipped { .. }
+            | ExperimentError::Panicked { .. }
             | ExperimentError::Replayed { .. } => None,
         }
     }
@@ -674,15 +687,12 @@ impl Lab {
             .select_with_interference(&bias, accuracy.as_deref(), ranking.as_ref())?)
     }
 
-    /// Phase one for one spec: pre-flight, hint selection, and the combined
-    /// predictor ready for measurement (plus the hint count for the report).
+    /// Phase one for one spec: hint selection and the combined predictor
+    /// ready for measurement (plus the hint count for the report).
     fn phase_one(
         &self,
         spec: &ExperimentSpec,
     ) -> Result<(CombinedPredictor, usize), ExperimentError> {
-        if let Some(preflight) = &self.preflight {
-            preflight(spec).map_err(|reason| ExperimentError::Rejected { reason })?;
-        }
         let hints = self.select_hints(spec)?;
         let hints_len = hints.len();
         // build_any: the measurement loop dispatches on the enum, not a
@@ -692,7 +702,8 @@ impl Lab {
     }
 
     /// Runs one experiment end to end (phase one + phase two): a lockstep
-    /// group of one.
+    /// group of one, answered from the cache's report memo when this cell
+    /// was measured before.
     pub fn run(&self, spec: &ExperimentSpec) -> Result<Report, ExperimentError> {
         self.run_lockstep(&[spec])
             .pop()
@@ -708,6 +719,13 @@ impl Lab {
     /// running each member alone — measurement passes are independent
     /// chunk-invariant consumers, which is exactly the pass framework's
     /// lockstep guarantee (see `sdbp_passes::LockstepRunner`).
+    ///
+    /// Each distinct cell is measured once per cache: a member whose
+    /// [`ReportKey`] already has a memoized report gets that report without
+    /// running phase one or touching the stream, and a member repeating an
+    /// earlier member of the same call shares that member's outcome. Both
+    /// count as [`CacheStats`](crate::CacheStats)`::report_hits`. Successful
+    /// reports are memoized once every member has settled; errors never are.
     ///
     /// Members whose pre-flight or selection fails report their error and
     /// simply do not join the traversal; the remaining members still share
@@ -733,25 +751,44 @@ impl Lab {
                 "lockstep members must share the measurement stream key"
             );
         }
-        let mut slots: Vec<Option<Result<Report, ExperimentError>>> =
-            Vec::with_capacity(specs.len());
-        let mut metas: Vec<(usize, usize)> = Vec::new();
+        let mut slots: Vec<Option<Result<Report, ExperimentError>>> = vec![None; specs.len()];
+        // The first member of each cell not in the memo, and its key.
+        let mut leaders: Vec<(ReportKey, usize)> = Vec::new();
+        // Later members repeating a leader's cell: (member, leader, key).
+        let mut repeats: Vec<(usize, usize, ReportKey)> = Vec::new();
+        // Leaders that joined the traversal: (member, key, hint count).
+        let mut metas: Vec<(usize, ReportKey, usize)> = Vec::new();
         let mut combineds: Vec<CombinedPredictor> = Vec::new();
         for (i, spec) in specs.iter().enumerate() {
+            if let Some(preflight) = &self.preflight {
+                if let Err(reason) = preflight(spec) {
+                    slots[i] = Some(Err(ExperimentError::Rejected { reason }));
+                    continue;
+                }
+            }
+            let key = (spec.benchmark, spec_digest(spec));
+            if let Some(report) = self.cache.report(&key) {
+                slots[i] = Some(Ok(report));
+                continue;
+            }
+            if let Some(&(_, leader)) = leaders.iter().find(|(k, _)| *k == key) {
+                repeats.push((i, leader, key));
+                continue;
+            }
+            leaders.push((key, i));
             match self.phase_one(spec) {
                 Ok((combined, hints_len)) => {
-                    slots.push(None);
-                    metas.push((i, hints_len));
+                    metas.push((i, key, hints_len));
                     combineds.push(combined);
                 }
-                Err(e) => slots.push(Some(Err(e))),
+                Err(e) => slots[i] = Some(Err(e)),
             }
         }
         if !combineds.is_empty() {
             let mut measures: Vec<MeasurePass<'_>> = combineds
                 .iter_mut()
                 .zip(&metas)
-                .map(|(combined, &(i, _))| {
+                .map(|(combined, &(i, _, _))| {
                     MeasurePass::new(combined).with_warmup(specs[i].warmup_instructions)
                 })
                 .collect();
@@ -767,7 +804,7 @@ impl Lab {
                 );
             }
             self.cache.note_lockstep_saved(measures.len() as u64 - 1);
-            for (measure, &(i, hints_len)) in measures.into_iter().zip(&metas) {
+            for (measure, &(i, _, hints_len)) in measures.into_iter().zip(&metas) {
                 let spec = specs[i];
                 slots[i] = Some(Ok(Report {
                     benchmark: spec.benchmark,
@@ -779,6 +816,19 @@ impl Lab {
                     stats: measure.into_stats(),
                 }));
             }
+        }
+        for &(i, key, _) in &metas {
+            if let Some(Ok(report)) = &slots[i] {
+                self.cache.store_report(key, report);
+            }
+        }
+        // A repeat of a measured leader reads the memo just filled (a report
+        // hit); a repeat of a failed leader gets the same error.
+        for (i, leader, key) in repeats {
+            slots[i] = Some(match self.cache.report(&key) {
+                Some(report) => Ok(report),
+                None => slots[leader].clone().expect("leaders settle first"),
+            });
         }
         slots
             .into_iter()
@@ -793,6 +843,7 @@ impl fmt::Debug for Lab {
             .field("bias_profiles", &self.cache.bias_profiles())
             .field("accuracy_profiles", &self.cache.accuracy_profiles())
             .field("cached_traces", &self.cache.cached_traces())
+            .field("cached_reports", &self.cache.cached_reports())
             .finish()
     }
 }
@@ -948,7 +999,10 @@ mod tests {
             results[0].as_ref().unwrap(),
             &Lab::new().run(&good).unwrap()
         );
-        assert_eq!(lab.cache().stats().lockstep_traversals_saved, 1);
+        // The second `good` repeats the first: it shares that member's
+        // report, so only one member rides the traversal.
+        assert_eq!(lab.cache().stats().lockstep_traversals_saved, 0);
+        assert_eq!(lab.cache().stats().report_hits, 1);
     }
 
     #[test]

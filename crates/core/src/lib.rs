@@ -76,7 +76,7 @@ mod proptests;
 
 pub use analysis::{BranchAnalysis, BranchRecord};
 pub use cache::{
-    accuracy_profile_digest, bias_profile_digest, ArtifactCache, ArtifactKey, CacheStats,
+    accuracy_profile_digest, bias_profile_digest, ArtifactCache, ArtifactKey, CacheStats, ReportKey,
 };
 pub use codec::spec_digest;
 pub use combined::{BranchResolution, CombinedPredictor, ShiftPolicy};

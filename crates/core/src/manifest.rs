@@ -161,6 +161,9 @@ fn error_from_record(kind: &str, message: &str) -> ExperimentError {
         "skipped" => ExperimentError::Skipped {
             reason: message.to_string(),
         },
+        "panicked" => ExperimentError::Panicked {
+            message: message.to_string(),
+        },
         _ => ExperimentError::Replayed {
             kind: kind.to_string(),
             message: message.to_string(),
@@ -521,6 +524,22 @@ mod tests {
                 assert!(reason.contains("bias cutoff"), "{reason}")
             }
             other => panic!("expected Rejected, got {other:?}"),
+        }
+
+        let panic_entry = entry_for(
+            5,
+            &spec(),
+            &Err(ExperimentError::Panicked {
+                message: "registered trace t.sdbt is no longer readable".into(),
+            }),
+            Duration::ZERO,
+        );
+        let back = ManifestEntry::parse_line(&panic_entry.to_line(), 1).unwrap();
+        match &back.outcome {
+            Err(ExperimentError::Panicked { message }) => {
+                assert!(message.contains("no longer readable"), "{message}")
+            }
+            other => panic!("expected Panicked, got {other:?}"),
         }
     }
 

@@ -43,16 +43,30 @@ use crate::report::Report;
 use sdbp_predictors::PredictorConfig;
 use sdbp_profiles::SelectionScheme;
 use sdbp_workloads::{Benchmark, InputSet, WorkloadFamily};
+use std::any::Any;
 use std::fmt;
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What a worker records for one finished cell: the outcome and how long
 /// the cell ran on its thread.
 type CellOutcome = (Result<Report, ExperimentError>, Duration);
+
+/// The text of a caught panic's payload (`panic!` with a message yields a
+/// `&str` or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 /// The worker count a sweep uses when none is set explicitly: the
 /// `SDBP_THREADS` environment variable if set to a positive integer,
@@ -234,6 +248,10 @@ impl Sweep {
     /// panicking; finished cells are appended to the store's manifest as
     /// they complete, resumed cells are replayed from it, and capped cells
     /// come back as [`ExperimentError::Skipped`] without touching it.
+    ///
+    /// A panic while a lockstep group runs fails every member of that group
+    /// with [`ExperimentError::Panicked`] (recorded in the manifest like any
+    /// other error); the other groups finish normally.
     pub fn run(self) -> SweepResult {
         let threads = self.threads();
         let rejections: Vec<Option<ExperimentError>> = self
@@ -348,8 +366,11 @@ impl Sweep {
                         else {
                             break;
                         };
-                        let _ =
-                            cache.profile_bundle(*benchmark, *input, *seed, *budget, predictors);
+                        // A profiling run that panics is left to its cells,
+                        // which hit the same panic and report it.
+                        let _ = catch_unwind(AssertUnwindSafe(|| {
+                            cache.profile_bundle(*benchmark, *input, *seed, *budget, predictors)
+                        }));
                     });
                 }
             });
@@ -412,8 +433,19 @@ impl Sweep {
                                 }
                             }
                         }
-                        for (pos, outcome) in member_pos.iter().zip(lab.run_lockstep(&member_specs))
-                        {
+                        // A panic fails every member of this group and no
+                        // other: the cache's locks recover from poisoning,
+                        // and a group stores its reports only once it
+                        // finishes.
+                        let results =
+                            catch_unwind(AssertUnwindSafe(|| lab.run_lockstep(&member_specs)))
+                                .unwrap_or_else(|payload| {
+                                    let error = ExperimentError::Panicked {
+                                        message: panic_message(&*payload),
+                                    };
+                                    vec![Err(error); member_specs.len()]
+                                });
+                        for (pos, outcome) in member_pos.iter().zip(results) {
                             outcomes[*pos] = Some(outcome);
                         }
                         // The traversal is shared, so wall time is attributed
@@ -438,7 +470,8 @@ impl Sweep {
                                     }
                                 }
                             }
-                            *slots[i].lock().expect("sweep slot lock") = Some((report, elapsed));
+                            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) =
+                                Some((report, elapsed));
                         }
                     }
                 });
@@ -456,7 +489,7 @@ impl Sweep {
                 let (report, elapsed) = match disposition {
                     Disposition::Run => slot
                         .into_inner()
-                        .expect("sweep slot lock")
+                        .unwrap_or_else(PoisonError::into_inner)
                         .expect("every runnable cell was executed"),
                     Disposition::Replay(outcome) => {
                         resumed += 1;
