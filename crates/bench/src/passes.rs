@@ -13,11 +13,17 @@
 //! generation; with it every cell sharing a branch stream rides one
 //! measurement traversal through [`sdbp_core::Lab::run_lockstep`].
 //!
+//! The production path (a [`Sweep`]) always shares traversals, so the two
+//! baselines are built here from the cache's primitives: *unfused* looks up
+//! each cell's bias and accuracy profile separately, *fused* collects each
+//! benchmark's profiles in one [`ArtifactCache::profile_bundle`]; both then
+//! measure every cell on its own through [`Lab::run`].
+//!
 //! Consumed by the `sdbp bench-passes` subcommand, which writes the
 //! machine-readable `BENCH_passes.json` used by CI and the performance
 //! docs.
 
-use sdbp_core::{ArtifactCache, ExperimentSpec, Sweep};
+use sdbp_core::{ArtifactCache, CacheStats, ExperimentSpec, Lab, Sweep, SweepCell, SweepResult};
 use sdbp_predictors::{PredictorConfig, PredictorKind};
 use sdbp_profiles::SelectionScheme;
 use sdbp_workloads::Benchmark;
@@ -36,8 +42,8 @@ pub const QUICK_INSTRUCTIONS: u64 = 120_000;
 /// fusion can collect alongside the bias profile in one traversal).
 pub const GRID_SIZES: [usize; 3] = [1024, 4 * 1024, 16 * 1024];
 
-/// One timed grid traversal mode: the whole spec grid through a
-/// single-threaded [`Sweep`] with fusion and lockstep each on or off.
+/// One timed grid traversal mode: the whole spec grid, single-threaded,
+/// under one [`GridMode`].
 #[derive(Debug, Clone)]
 pub struct PassesMeasurement {
     /// `"unfused"`, `"fused"`, or `"lockstep"`.
@@ -91,14 +97,12 @@ pub struct PassesReport {
     pub benchmarks: usize,
     /// Grid cells (benchmarks × predictor configurations).
     pub cells: usize,
-    /// The grid with fusion on and lockstep off (the pre-lockstep default
-    /// path, and the wall-clock baseline lockstep is judged against).
+    /// The grid under [`GridMode::Fused`] (the wall-clock baseline lockstep
+    /// is judged against).
     pub fused: PassesMeasurement,
-    /// The grid with fusion disabled (one traversal per profile artifact)
-    /// and lockstep off.
+    /// The grid under [`GridMode::Unfused`].
     pub unfused: PassesMeasurement,
-    /// The grid with both fusion and lockstep enabled (the production
-    /// default: one measurement traversal per shared branch stream).
+    /// The grid under [`GridMode::Lockstep`] (the production path).
     pub lockstep: PassesMeasurement,
 }
 
@@ -123,8 +127,7 @@ impl PassesReport {
     }
 
     /// Unfused-sequential over lockstep wall-clock — the full traversal
-    /// economy of the production grid path. The target is 2x;
-    /// `BENCH_passes.json` records 1.70x, and no gate enforces it.
+    /// economy of the production grid path.
     pub fn combined_speedup(&self) -> f64 {
         if self.lockstep.seconds > 0.0 {
             self.unfused.seconds / self.lockstep.seconds
@@ -220,6 +223,22 @@ pub fn grid_specs(benchmarks: &[Benchmark], instructions: u64) -> Vec<Experiment
     specs
 }
 
+/// How a [`grid_pass`] shares generator traversals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GridMode {
+    /// Per cell, separate [`ArtifactCache::bias_profile`] and
+    /// [`ArtifactCache::accuracy_profile`] lookups, then [`Lab::run`]: one
+    /// traversal per profile artifact and one per measurement.
+    Unfused,
+    /// One [`ArtifactCache::profile_bundle`] per benchmark over its
+    /// [`GRID_SIZES`] predictors, then [`Lab::run`] per cell: one profile
+    /// traversal per benchmark, still one per measurement.
+    Fused,
+    /// A one-thread [`Sweep`], the production path: pooled profiling plus
+    /// one lockstep measurement traversal per shared branch stream.
+    Lockstep,
+}
+
 /// What one [`grid_pass`] observed, beyond wall clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridOutcome {
@@ -235,21 +254,33 @@ pub struct GridOutcome {
     pub cell_mbrs: Option<(f64, f64, f64)>,
 }
 
-/// One single-threaded sweep over the grid with a fresh,
-/// trace-store-disabled cache: every traversal streams straight off the
-/// workload generator, so the traversal count *is* the generation count.
-/// The sweep engine (not a bare serial [`sdbp_core::Lab`]) is what pools a
-/// benchmark's accuracy profiles across cells into one fused prewarm
-/// traversal and groups cells sharing a branch stream into one lockstep
-/// measurement traversal, so this times the production grid path.
-pub fn grid_pass(specs: &[ExperimentSpec], fuse: bool, lockstep: bool) -> GridOutcome {
+/// One single-threaded pass over the grid `specs` (as built by
+/// [`grid_specs`]) with a fresh, trace-store-disabled cache: every traversal
+/// streams straight off the workload generator, so the traversal count *is*
+/// the generation count.
+pub fn grid_pass(specs: &[ExperimentSpec], mode: GridMode) -> GridOutcome {
     let cache = Arc::new(ArtifactCache::with_trace_capacity(0));
-    let result = Sweep::new(specs.to_vec())
-        .with_cache(Arc::clone(&cache))
-        .with_threads(1)
-        .with_fusion(fuse)
-        .with_lockstep(lockstep)
-        .run();
+    let result = match mode {
+        GridMode::Lockstep => Sweep::new(specs.to_vec())
+            .with_cache(Arc::clone(&cache))
+            .with_threads(1)
+            .run(),
+        GridMode::Fused => {
+            for run in specs.chunk_by(|a, b| a.benchmark == b.benchmark) {
+                let first = &run[0];
+                let predictors: Vec<_> = run.iter().map(|s| s.predictor).collect();
+                cache.profile_bundle(
+                    first.benchmark,
+                    first.profile.profile_input(first.measure_input),
+                    first.seed,
+                    first.profile_budget(),
+                    &predictors,
+                );
+            }
+            cells_one_by_one(specs, &cache, false)
+        }
+        GridMode::Unfused => cells_one_by_one(specs, &cache, true),
+    };
     let cell_mbrs = result.cell_throughput_mbrs();
     let mispredictions = result
         .into_reports()
@@ -264,6 +295,46 @@ pub fn grid_pass(specs: &[ExperimentSpec], fuse: bool, lockstep: bool) -> GridOu
         fused_saved: stats.fused_traversals_saved,
         lockstep_saved: stats.lockstep_traversals_saved,
         cell_mbrs,
+    }
+}
+
+/// Runs every cell alone through [`Lab::run`], timing each; with
+/// `separate_profiles`, the cell first looks up its bias and accuracy
+/// profiles one traversal each, inside its timed region.
+fn cells_one_by_one(
+    specs: &[ExperimentSpec],
+    cache: &Arc<ArtifactCache>,
+    separate_profiles: bool,
+) -> SweepResult {
+    let lab = Lab::with_cache(Arc::clone(cache));
+    let started = Instant::now();
+    let cells = specs
+        .iter()
+        .enumerate()
+        .map(|(index, spec)| {
+            let cell_started = Instant::now();
+            if separate_profiles {
+                let input = spec.profile.profile_input(spec.measure_input);
+                let budget = spec.profile_budget();
+                cache.bias_profile(spec.benchmark, input, spec.seed, budget);
+                cache.accuracy_profile(spec.benchmark, input, spec.seed, budget, spec.predictor);
+            }
+            let report = lab.run(spec);
+            SweepCell {
+                index,
+                spec: spec.clone(),
+                report,
+                elapsed: cell_started.elapsed(),
+            }
+        })
+        .collect();
+    SweepResult {
+        cells,
+        wall_time: started.elapsed(),
+        threads: 1,
+        cache_stats: CacheStats::default(),
+        resumed: 0,
+        skipped: 0,
     }
 }
 
@@ -288,10 +359,8 @@ fn timed<F: FnMut() -> GridOutcome>(label: &str, reps: u32, mut pass: F) -> Pass
     }
 }
 
-/// Runs the full traversal-economy benchmark: the grid with everything
-/// disabled (one generator traversal per artifact), with fusion alone (the
-/// pre-lockstep default), and with fusion + lockstep (the production
-/// default), with `progress` invoked as each mode finishes.
+/// Runs the full traversal-economy benchmark: the grid under every
+/// [`GridMode`], with `progress` invoked as each mode finishes.
 pub fn run(quick: bool, mut progress: impl FnMut(&PassesMeasurement)) -> PassesReport {
     let instructions = if quick {
         QUICK_INSTRUCTIONS
@@ -306,11 +375,11 @@ pub fn run(quick: bool, mut progress: impl FnMut(&PassesMeasurement)) -> PassesR
     };
     let specs = grid_specs(benchmarks, instructions);
 
-    let unfused = timed("unfused", reps, || grid_pass(&specs, false, false));
+    let unfused = timed("unfused", reps, || grid_pass(&specs, GridMode::Unfused));
     progress(&unfused);
-    let fused = timed("fused", reps, || grid_pass(&specs, true, false));
+    let fused = timed("fused", reps, || grid_pass(&specs, GridMode::Fused));
     progress(&fused);
-    let lockstep = timed("lockstep", reps, || grid_pass(&specs, true, true));
+    let lockstep = timed("lockstep", reps, || grid_pass(&specs, GridMode::Lockstep));
     progress(&lockstep);
 
     PassesReport {
@@ -331,9 +400,9 @@ mod tests {
     #[test]
     fn all_grid_pass_modes_agree() {
         let specs = grid_specs(&[Benchmark::Compress], 60_000);
-        let unfused = grid_pass(&specs, false, false);
-        let fused = grid_pass(&specs, true, false);
-        let lockstep = grid_pass(&specs, true, true);
+        let unfused = grid_pass(&specs, GridMode::Unfused);
+        let fused = grid_pass(&specs, GridMode::Fused);
+        let lockstep = grid_pass(&specs, GridMode::Lockstep);
         assert_eq!(
             fused.mispredictions, unfused.mispredictions,
             "fusion must not change results"

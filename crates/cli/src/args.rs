@@ -8,6 +8,8 @@ pub struct Args {
     command: String,
     options: HashMap<String, String>,
     flags: Vec<String>,
+    /// The keys the command reads, once [`Args::declare`] has run.
+    declared: Option<Vec<&'static str>>,
 }
 
 impl Args {
@@ -56,7 +58,49 @@ impl Args {
             command,
             options,
             flags,
+            declared: None,
         })
+    }
+
+    /// Declares every option and flag the command reads.
+    ///
+    /// Reading an undeclared key afterwards is a bug in the command and
+    /// panics in debug builds, so the declaration cannot drift from the
+    /// reads.
+    ///
+    /// # Errors
+    ///
+    /// Names every given `--key` outside `known` — a misspelled or retired
+    /// option must fail loudly rather than be silently ignored.
+    pub fn declare(&mut self, known: Vec<&'static str>) -> Result<(), String> {
+        let mut unknown: Vec<&str> = self
+            .options
+            .keys()
+            .chain(&self.flags)
+            .map(String::as_str)
+            .filter(|key| !known.contains(key))
+            .collect();
+        unknown.sort_unstable();
+        unknown.dedup();
+        self.declared = Some(known);
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        let names: Vec<String> = unknown.iter().map(|key| format!("--{key}")).collect();
+        Err(format!(
+            "unknown option{} {} for `sdbp {}`",
+            if names.len() == 1 { "" } else { "s" },
+            names.join(", "),
+            self.command
+        ))
+    }
+
+    fn assert_declared(&self, key: &str) {
+        debug_assert!(
+            self.declared.as_ref().is_none_or(|d| d.contains(&key)),
+            "`sdbp {}` reads --{key} without declaring it",
+            self.command
+        );
     }
 
     /// The subcommand name (empty when none was given).
@@ -66,6 +110,7 @@ impl Args {
 
     /// A string option.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.assert_declared(key);
         self.options.get(key).map(String::as_str)
     }
 
@@ -91,6 +136,7 @@ impl Args {
 
     /// Whether a bare `--flag` was given.
     pub fn has_flag(&self, key: &str) -> bool {
+        self.assert_declared(key);
         self.flags.iter().any(|f| f == key)
     }
 }
@@ -163,6 +209,28 @@ mod tests {
         assert!(Args::parse(["sim".into(), "--=x".into()]).is_err());
         assert!(Args::parse(["sim".into(), "--key=".into()]).is_err());
         assert!(Args::parse(["sim".into(), "--".into()]).is_err());
+    }
+
+    #[test]
+    fn declare_names_every_unknown_key() {
+        let mut a = parse(&["grid", "--size", "2048", "--instructons", "5", "--no-fuse"]);
+        let err = a.declare(vec!["size", "instructions"]).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown options --instructons, --no-fuse for `sdbp grid`"
+        );
+        let mut ok = parse(&["grid", "--size", "2048", "--resume"]);
+        assert!(ok.declare(vec!["size", "resume"]).is_ok());
+        assert_eq!(ok.get("size"), Some("2048"));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "reads --seed without declaring it")]
+    fn reading_an_undeclared_key_panics_in_debug_builds() {
+        let mut a = parse(&["sim"]);
+        a.declare(vec!["size"]).unwrap();
+        let _ = a.get("seed");
     }
 
     #[test]

@@ -18,6 +18,66 @@ use std::path::Path;
 
 type CmdResult = Result<(), CliError>;
 
+/// The keys [`run_options`] reads.
+const RUN_KEYS: &[&str] = &["benchmark", "input", "seed", "instructions"];
+
+/// The keys [`predictor_of`] reads.
+const PREDICTOR_KEYS: &[&str] = &["predictor", "size"];
+
+/// Every option and flag `command` reads, or `None` for an unknown command.
+/// Any other `--key` on the command line is a usage error.
+pub fn keys(command: &str) -> Option<Vec<&'static str>> {
+    let groups: &[&[&'static str]] = match command {
+        "list" | "" | "help" | "-h" | "--help" => &[],
+        "gen" => &[RUN_KEYS, &["out", "text"]],
+        "ingest" => &[&["trace", "deny-warnings", "format"]],
+        "stats" => &[RUN_KEYS, &["trace"]],
+        "profile" => &[RUN_KEYS, &["out"]],
+        "select" => &[RUN_KEYS, PREDICTOR_KEYS, &["scheme", "out", "profile"]],
+        "sim" => &[
+            RUN_KEYS,
+            PREDICTOR_KEYS,
+            &["shift", "trace", "hints", "scheme", "training"],
+        ],
+        "sweep" => &[RUN_KEYS, &["predictor", "scheme", "threads"]],
+        "grid" => &[
+            RUN_KEYS,
+            &[
+                "trace",
+                "family",
+                "size",
+                "threads",
+                "schemes",
+                "store",
+                "resume",
+                "max-cells",
+            ],
+        ],
+        "hotspots" => &[RUN_KEYS, PREDICTOR_KEYS, &["top"]],
+        "check" => &[
+            sdbp_check::SPEC_KEYS,
+            &[
+                "deny-warnings",
+                "suite",
+                "spec",
+                "profile",
+                "hints",
+                "manifest",
+                "aliasing",
+                "index-analysis",
+                "top",
+                "format",
+            ],
+        ],
+        "artifact" => &[&["store", "digest"]],
+        "bench-kernel" | "bench-passes" | "bench-frontier" | "bench-families" => {
+            &[&["quick", "out"]]
+        }
+        _ => return None,
+    };
+    Some(groups.concat())
+}
+
 /// Common options: `--benchmark`, `--input`, `--seed`, `--instructions`.
 struct RunOptions {
     benchmark: Benchmark,
@@ -311,7 +371,6 @@ pub fn sweep(args: &Args) -> CmdResult {
     let result = Sweep::new(specs)
         .with_threads(threads)
         .with_verbose(true)
-        .with_lockstep(!args.has_flag("no-lockstep"))
         .run();
     let summary = result.summary();
     let mut t = TableWriter::with_columns(&["size", "MISPs/KI", "accuracy", "collisions", "hints"]);
@@ -430,11 +489,7 @@ pub fn grid(args: &Args) -> CmdResult {
         }
         layout.push(rows);
     }
-    let mut sweep = Sweep::new(specs)
-        .with_threads(threads)
-        .with_verbose(true)
-        .with_fusion(!args.has_flag("no-fuse"))
-        .with_lockstep(!args.has_flag("no-lockstep"));
+    let mut sweep = Sweep::new(specs).with_threads(threads).with_verbose(true);
     if let Some(dir) = args.get("store") {
         sweep = sweep
             .with_store(dir)
@@ -970,8 +1025,58 @@ pub fn list() -> CmdResult {
 mod tests {
     use super::*;
 
+    /// Parses `tokens` and, for a known command, declares its keys the way
+    /// `main` does — so every command test also checks that the command
+    /// reads only keys it declares.
     fn args(tokens: &[&str]) -> Args {
-        Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
+        let mut a = Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
+        if let Some(known) = keys(a.command()) {
+            a.declare(known).unwrap();
+        }
+        a
+    }
+
+    fn declare_error(tokens: &[&str]) -> String {
+        let mut a = Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
+        a.declare(keys(a.command()).unwrap()).unwrap_err()
+    }
+
+    #[test]
+    fn misspelled_option_is_rejected_by_name() {
+        let err = declare_error(&[
+            "grid",
+            "--benchmark",
+            "compress",
+            "--size",
+            "2048",
+            "--instructons",
+            "50000",
+        ]);
+        assert!(err.contains("--instructons"), "{err}");
+    }
+
+    #[test]
+    fn misspelled_flag_is_rejected_by_name() {
+        let err = declare_error(&["grid", "--benchmark", "compress", "--no-fuse-typo"]);
+        assert!(err.contains("--no-fuse-typo"), "{err}");
+        let err = declare_error(&["check", "--aliasng"]);
+        assert!(err.contains("--aliasng"), "{err}");
+    }
+
+    #[test]
+    fn removed_flags_are_rejected() {
+        for command in ["grid", "sweep"] {
+            for flag in ["--no-fuse", "--no-lockstep"] {
+                let err = declare_error(&[command, flag]);
+                assert!(err.contains(flag), "{command} {flag}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_commands_declare_nothing() {
+        assert!(keys("gird").is_none());
+        assert_eq!(keys("list"), Some(Vec::new()));
     }
 
     #[test]

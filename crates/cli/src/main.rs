@@ -29,13 +29,20 @@ fn main() {
     {
         artifact_action = argv.remove(1);
     }
-    let args = match Args::parse(argv) {
+    let mut args = match Args::parse(argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n\nrun `sdbp help` for usage");
             std::process::exit(2);
         }
     };
+    if let Some(known) = commands::keys(args.command()) {
+        if let Err(e) = args.declare(known) {
+            let e = CliError::Usage(e);
+            eprintln!("error: {e}\n\nrun `sdbp help` for usage");
+            std::process::exit(e.exit_code());
+        }
+    }
     let result = match args.command() {
         "list" => commands::list(),
         "gen" => commands::gen(&args),
@@ -167,14 +174,6 @@ common options:
   --max-cells N                                    with --store: stop after N
                                                    executed cells (testing
                                                    interruption/resume)
-  --no-fuse                                        grid: disable fused
-                                                   multi-pass profiling (one
-                                                   traversal per profile
-                                                   artifact, for A/B checks)
-  --no-lockstep                                    sweep/grid: disable lockstep
-                                                   multi-config measurement
-                                                   (one traversal per cell,
-                                                   for A/B checks)
 
 parallelism:
   sweep and grid run their cells across worker threads sharing one artifact
@@ -183,9 +182,8 @@ parallelism:
   stderr summary line reports threads, wall time, speedup, and cache
   hit/miss counters, plus the profile traversals saved by pass fusion
   (each benchmark's bias and accuracy profiles are collected in one fused
-  trace traversal unless --no-fuse) and the measurement traversals saved
-  by lockstep execution (cells sharing a branch stream ride one traversal
-  together unless --no-lockstep; results stay bit-identical either way).
+  trace traversal) and the measurement traversals saved by lockstep
+  execution (cells sharing a branch stream ride one traversal together).
   The summary also reports per-cell throughput as min/median/max Mbr/s.
   SDBP_THREADS=N overrides the default thread count process-wide (the
   --threads flag wins when both are given).
@@ -208,7 +206,8 @@ diagnostics:
 
 exit codes:
   0 success; 1 command failure (simulation error, failed check, I/O);
-  2 usage error (unknown command, bad option value); 3 artifact-store or
+  2 usage error (unknown command, an option the command does not take,
+  bad option value); 3 artifact-store or
   manifest corruption (see docs/artifacts.md).
 
 examples:

@@ -15,8 +15,8 @@ use sdbp_artifacts::{CodecError, StoreError};
 use sdbp_passes::Pass;
 use sdbp_predictors::PredictorConfig;
 use sdbp_profiles::{
-    rank_interference, AccuracyProfile, BiasProfile, HintDatabase, InterferenceOptions,
-    ProfileDatabase, SelectError, SelectionScheme,
+    rank_interference, BiasProfile, HintDatabase, InterferenceOptions, ProfileDatabase,
+    SelectError, SelectionScheme,
 };
 use sdbp_workloads::{Benchmark, InputSet};
 use std::fmt;
@@ -176,10 +176,11 @@ impl ExperimentSpec {
     /// Checks the structural invariants a spec must satisfy to produce a
     /// meaningful experiment, without running anything.
     ///
-    /// This is the lightweight gate behind [`Sweep`](crate::Sweep)'s strict
-    /// mode; the `sdbp-check` crate builds its coded diagnostics on top of
-    /// the same conditions (plus many more). A valid spec is guaranteed not
-    /// to panic inside [`Lab::run`] for spec-level reasons.
+    /// This is the lightweight gate every [`Sweep`](crate::Sweep) cell
+    /// passes before it runs; the `sdbp-check` crate builds its coded
+    /// diagnostics on top of the same conditions (plus many more). A valid
+    /// spec is guaranteed not to panic inside [`Lab::run`] for spec-level
+    /// reasons.
     ///
     /// # Errors
     ///
@@ -310,8 +311,8 @@ pub enum ExperimentError {
     /// Hint selection failed.
     Select(SelectError),
     /// The spec was rejected before any simulation ran — by
-    /// [`ExperimentSpec::validate`] under a [`Sweep`](crate::Sweep)'s strict
-    /// mode, or by an installed pre-flight hook (see [`Lab::with_preflight`]).
+    /// [`ExperimentSpec::validate`] inside a [`Sweep`](crate::Sweep), or by
+    /// an installed pre-flight hook (see [`Lab::with_preflight`]).
     Rejected {
         /// The rendered pre-flight diagnostics.
         reason: String,
@@ -521,7 +522,6 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Result<Report, ExperimentError> 
 pub struct Lab {
     cache: Arc<ArtifactCache>,
     preflight: Option<PreflightFn>,
-    fuse: bool,
 }
 
 /// A pre-flight validator installable into a [`Lab`] or a
@@ -544,7 +544,6 @@ impl Lab {
         Self {
             cache: Arc::new(ArtifactCache::new()),
             preflight: None,
-            fuse: true,
         }
     }
 
@@ -553,21 +552,7 @@ impl Lab {
         Self {
             cache,
             preflight: None,
-            fuse: true,
         }
-    }
-
-    /// Enables or disables pass fusion (on by default).
-    ///
-    /// A fused lab collects the bias profile and any needed accuracy
-    /// profiles of a run in **one** traversal of the event stream
-    /// ([`ArtifactCache::profile_bundle`]); an unfused lab performs the
-    /// classic one-artifact-per-traversal lookups. Results are bit-identical
-    /// either way — the escape hatch exists for benchmarking and for
-    /// isolating the fusion layer when debugging.
-    pub fn with_fusion(mut self, fuse: bool) -> Self {
-        self.fuse = fuse;
-        self
     }
 
     /// Installs a pre-flight validator that every subsequent [`Lab::run`]
@@ -584,38 +569,12 @@ impl Lab {
         Arc::clone(&self.cache)
     }
 
-    /// Returns the (cached) bias profile of a run.
-    pub fn bias_profile(
-        &self,
-        benchmark: Benchmark,
-        input: InputSet,
-        seed: u64,
-        instructions: u64,
-    ) -> Arc<BiasProfile> {
-        self.cache
-            .bias_profile(benchmark, input, seed, instructions)
-    }
-
-    /// Returns the (cached) per-branch accuracy profile of `predictor` on a
-    /// run.
-    pub fn accuracy_profile(
-        &self,
-        benchmark: Benchmark,
-        input: InputSet,
-        seed: u64,
-        instructions: u64,
-        predictor: PredictorConfig,
-    ) -> Arc<AccuracyProfile> {
-        self.cache
-            .accuracy_profile(benchmark, input, seed, instructions, predictor)
-    }
-
     /// Selects the hint database for a spec (phase one).
     ///
-    /// With fusion enabled (the default), the profiling run's bias profile
-    /// and the accuracy profile of the spec's predictor — when its scheme
-    /// needs one — are collected in a single traversal of the event stream;
-    /// see [`Lab::with_fusion`].
+    /// The profiling run's bias profile and the accuracy profile of the
+    /// spec's predictor — when its scheme needs one — come from one
+    /// [`ArtifactCache::profile_bundle`] lookup, so any cold artifact among
+    /// them is collected in a single traversal of the event stream.
     ///
     /// A `Static_Collide` scheme additionally runs the static interference
     /// ranking ([`rank_interference`]) over the selection bias; that analysis
@@ -628,35 +587,20 @@ impl Lab {
         let profile_input = spec.profile.profile_input(spec.measure_input);
         let profile_budget = spec.budget(profile_input, spec.profile_instructions);
 
-        let (profiled_bias, accuracy) = if self.fuse {
-            // One fused lookup: bias plus (at most) one accuracy profile,
-            // any cold artifact collected in the same traversal.
-            let predictors: &[PredictorConfig] = if spec.scheme.needs_accuracy_profile() {
-                std::slice::from_ref(&spec.predictor)
-            } else {
-                &[]
-            };
-            let (bias, mut accuracies) = self.cache.profile_bundle(
-                spec.benchmark,
-                profile_input,
-                spec.seed,
-                profile_budget,
-                predictors,
-            );
-            (bias, accuracies.pop())
+        // One fused lookup: bias plus (at most) one accuracy profile.
+        let predictors: &[PredictorConfig] = if spec.scheme.needs_accuracy_profile() {
+            std::slice::from_ref(&spec.predictor)
         } else {
-            let bias = self.bias_profile(spec.benchmark, profile_input, spec.seed, profile_budget);
-            let accuracy = spec.scheme.needs_accuracy_profile().then(|| {
-                self.accuracy_profile(
-                    spec.benchmark,
-                    profile_input,
-                    spec.seed,
-                    profile_budget,
-                    spec.predictor,
-                )
-            });
-            (bias, accuracy)
+            &[]
         };
+        let (profiled_bias, mut accuracies) = self.cache.profile_bundle(
+            spec.benchmark,
+            profile_input,
+            spec.seed,
+            profile_budget,
+            predictors,
+        );
+        let accuracy = accuracies.pop();
 
         let bias: Arc<BiasProfile> = match spec.profile {
             // `profile_input` already names the profiled run for these two
@@ -669,7 +613,8 @@ impl Lab {
                 // and therefore takes its own (cached) traversal.
                 let ref_budget = spec.budget(InputSet::Ref, spec.profile_instructions);
                 let reference =
-                    self.bias_profile(spec.benchmark, InputSet::Ref, spec.seed, ref_budget);
+                    self.cache
+                        .bias_profile(spec.benchmark, InputSet::Ref, spec.seed, ref_budget);
                 let mut db = ProfileDatabase::new(spec.benchmark.name());
                 db.add_run("train", (*profiled_bias).clone());
                 db.add_run("ref", (*reference).clone());
@@ -718,7 +663,7 @@ impl Lab {
     /// member. Results come back in `specs` order and are bit-identical to
     /// running each member alone — measurement passes are independent
     /// chunk-invariant consumers, which is exactly the pass framework's
-    /// lockstep guarantee (see `sdbp_passes::LockstepRunner`).
+    /// lockstep guarantee (see `sdbp_passes::PassRunner`).
     ///
     /// Each distinct cell is measured once per cache: a member whose
     /// [`ReportKey`] already has a memoized report gets that report without
@@ -911,26 +856,46 @@ mod tests {
         assert!(debug.contains("accuracy_profiles: 1"), "{debug}");
     }
 
-    #[test]
-    fn fused_and_unfused_labs_agree_bit_for_bit() {
-        for scheme in [
-            SelectionScheme::None,
-            SelectionScheme::static_95(),
-            SelectionScheme::static_acc(),
-        ] {
-            let s = spec(scheme);
-            let fused = Lab::new().run(&s).unwrap();
-            let unfused = Lab::new().with_fusion(false).run(&s).unwrap();
-            assert_eq!(fused, unfused);
+    /// Oracle for phase one: the hints `spec` selects from separate
+    /// one-artifact-per-traversal lookups on a fresh cache.
+    fn hints_from_separate_lookups(spec: &ExperimentSpec) -> HintDatabase {
+        let cache = ArtifactCache::new();
+        let input = spec.profile.profile_input(spec.measure_input);
+        let budget = spec.profile_budget();
+        let mut bias = cache.bias_profile(spec.benchmark, input, spec.seed, budget);
+        if let ProfileSource::MergedCrossTrained { max_bias_change } = spec.profile {
+            let ref_budget = spec.budget(InputSet::Ref, spec.profile_instructions);
+            let reference =
+                cache.bias_profile(spec.benchmark, InputSet::Ref, spec.seed, ref_budget);
+            let mut db = ProfileDatabase::new(spec.benchmark.name());
+            db.add_run("train", (*bias).clone());
+            db.add_run("ref", (*reference).clone());
+            bias = Arc::new(db.merged_stable(max_bias_change));
         }
+        let accuracy = spec.scheme.needs_accuracy_profile().then(|| {
+            cache.accuracy_profile(spec.benchmark, input, spec.seed, budget, spec.predictor)
+        });
+        assert_eq!(cache.stats().fused_traversals_saved, 0);
+        spec.scheme
+            .select_with_interference(&bias, accuracy.as_deref(), None)
+            .unwrap()
+    }
+
+    #[test]
+    fn fused_selection_matches_separate_profile_lookups() {
         let merged =
             spec(SelectionScheme::static_acc()).with_profile(ProfileSource::MergedCrossTrained {
                 max_bias_change: 0.05,
             });
-        assert_eq!(
-            Lab::new().run(&merged).unwrap(),
-            Lab::new().with_fusion(false).run(&merged).unwrap()
-        );
+        for s in [
+            spec(SelectionScheme::None),
+            spec(SelectionScheme::static_95()),
+            spec(SelectionScheme::static_acc()),
+            merged,
+        ] {
+            let fused = Lab::new().select_hints(&s).unwrap();
+            assert_eq!(fused, hints_from_separate_lookups(&s), "{:?}", s.profile);
+        }
     }
 
     #[test]
@@ -942,10 +907,6 @@ mod tests {
             stats.fused_traversals_saved, 1,
             "bias + accuracy collected together: {stats}"
         );
-
-        let unfused = Lab::new().with_fusion(false);
-        let _ = unfused.run(&spec(SelectionScheme::static_acc())).unwrap();
-        assert_eq!(unfused.cache().stats().fused_traversals_saved, 0);
     }
 
     #[test]

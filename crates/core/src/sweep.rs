@@ -94,64 +94,42 @@ pub struct Sweep {
     threads: Option<usize>,
     cache: Arc<ArtifactCache>,
     verbose: bool,
-    strict: bool,
     preflight: Option<PreflightFn>,
     store_dir: Option<PathBuf>,
     resume: bool,
     cell_cap: Option<usize>,
-    fuse: bool,
-    lockstep: bool,
 }
 
 impl Sweep {
-    /// A sweep over `specs` with a fresh cache, automatic thread count, and
-    /// strict pre-flight validation **on** (see [`Sweep::with_strict`]).
+    /// A sweep over `specs` with a fresh cache and automatic thread count.
+    ///
+    /// Every cell is gated on [`ExperimentSpec::validate`]: invalid cells
+    /// come back as [`ExperimentError::Rejected`] without running, so a
+    /// thousand-cell grid fails fast and explainably instead of panicking
+    /// mid-sweep.
+    ///
+    /// Runnable cells sharing a profiling run — the same
+    /// `(benchmark, input, seed, budget)` — pool their profile needs, so the
+    /// bias profile and every distinct predictor's accuracy profile of that
+    /// run are collected in **one** traversal. Runnable cells sharing a
+    /// measurement stream — the same
+    /// `(benchmark, measure_input, seed, measure_budget)` — drive their
+    /// measurement passes over one traversal of that stream
+    /// ([`Lab::run_lockstep`]): an 18-cell grid over one benchmark costs one
+    /// trace decode, not 18. Results are bit-identical to running each cell
+    /// alone through [`Lab::run`]; traversals avoided show up in the
+    /// summary's cache counters.
     pub fn new(specs: impl IntoIterator<Item = ExperimentSpec>) -> Self {
         Self {
             specs: specs.into_iter().collect(),
             threads: None,
             cache: Arc::new(ArtifactCache::new()),
             verbose: false,
-            strict: true,
             preflight: None,
             store_dir: None,
             resume: false,
             cell_cap: None,
-            fuse: true,
-            lockstep: true,
         }
-    }
-
-    /// Enables or disables lockstep multi-config execution (on by default).
-    ///
-    /// A lockstep sweep groups runnable cells that share a measurement
-    /// stream — the same `(benchmark, measure_input, seed, measure_budget)`
-    /// — and drives each group's measurement passes over **one** traversal
-    /// of that stream ([`Lab::run_lockstep`]) instead of one traversal per
-    /// cell: an 18-cell grid over one benchmark costs one trace decode, not
-    /// 18. Results are bit-identical either way (measurement passes are
-    /// independent chunk-invariant consumers); traversals avoided show up
-    /// in the summary's `lockstep_traversals_saved` counter. The escape
-    /// hatch exists for benchmarking the win and for isolating the lockstep
-    /// layer when debugging.
-    pub fn with_lockstep(mut self, lockstep: bool) -> Self {
-        self.lockstep = lockstep;
-        self
-    }
-
-    /// Enables or disables pass fusion (on by default; see
-    /// [`Lab::with_fusion`]).
-    ///
-    /// A fused sweep additionally *pre-warms* the cache: runnable cells
-    /// sharing a profiling run — the same
-    /// `(benchmark, input, seed, budget)` — pool their profile needs, so
-    /// the bias profile and every distinct predictor's accuracy profile of
-    /// that run are collected in **one** traversal instead of one per
-    /// profile. Results are bit-identical either way; traversals avoided
-    /// show up in the summary's cache counters.
-    pub fn with_fusion(mut self, fuse: bool) -> Self {
-        self.fuse = fuse;
-        self
     }
 
     /// Attaches a persistent run store at `dir`: profiles are cached on disk
@@ -199,17 +177,9 @@ impl Sweep {
         self
     }
 
-    /// Controls strict mode (**on** by default): every cell is gated on
-    /// [`ExperimentSpec::validate`] and invalid cells come back as
-    /// [`ExperimentError::Rejected`] without running — a thousand-cell grid
-    /// fails fast and explainably instead of panicking mid-sweep.
-    pub fn with_strict(mut self, strict: bool) -> Self {
-        self.strict = strict;
-        self
-    }
-
-    /// Installs an additional pre-flight validator run after strict
-    /// validation (e.g. `sdbp-check`'s full coded-diagnostics pass).
+    /// Installs an additional pre-flight validator run after
+    /// [`ExperimentSpec::validate`] (e.g. `sdbp-check`'s full
+    /// coded-diagnostics pass).
     pub fn with_preflight(mut self, preflight: PreflightFn) -> Self {
         self.preflight = Some(preflight);
         self
@@ -222,18 +192,16 @@ impl Sweep {
             .min(self.specs.len().max(1))
     }
 
-    /// Checks one spec against strict validation and the installed
-    /// pre-flight hook, in that order.
+    /// Checks one spec against [`ExperimentSpec::validate`] and the
+    /// installed pre-flight hook, in that order.
     fn preflight_cell(&self, spec: &ExperimentSpec) -> Result<(), ExperimentError> {
-        if self.strict {
-            if let Err(problems) = spec.validate() {
-                let reason = problems
-                    .iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                return Err(ExperimentError::Rejected { reason });
-            }
+        if let Err(problems) = spec.validate() {
+            let reason = problems
+                .iter()
+                .map(|p| p.to_string())
+                .collect::<Vec<_>>()
+                .join("; ");
+            return Err(ExperimentError::Rejected { reason });
         }
         if let Some(preflight) = &self.preflight {
             preflight(spec).map_err(|reason| ExperimentError::Rejected { reason })?;
@@ -296,8 +264,6 @@ impl Sweep {
             verbose,
             resume,
             cell_cap,
-            fuse,
-            lockstep,
             ..
         } = self;
         let started = Instant::now();
@@ -336,72 +302,65 @@ impl Sweep {
         // traversal. Workers then find everything hot. (Profiles are
         // deterministic, so racing workers would be harmless — this is
         // purely a traversal saver.)
-        if fuse {
-            type ProfileRun = (Benchmark, InputSet, u64, u64);
-            let mut groups: Vec<(ProfileRun, Vec<PredictorConfig>)> = Vec::new();
-            for &i in &work {
-                let spec = &specs[i];
-                if rejections[i].is_some() || spec.scheme == SelectionScheme::None {
-                    continue;
-                }
-                let input = spec.profile.profile_input(spec.measure_input);
-                let run = (spec.benchmark, input, spec.seed, spec.profile_budget());
-                let predictors = match groups.iter_mut().find(|(k, _)| *k == run) {
-                    Some((_, predictors)) => predictors,
-                    None => {
-                        groups.push((run, Vec::new()));
-                        &mut groups.last_mut().expect("just pushed").1
-                    }
-                };
-                if spec.scheme.needs_accuracy_profile() && !predictors.contains(&spec.predictor) {
-                    predictors.push(spec.predictor);
-                }
+        type ProfileRun = (Benchmark, InputSet, u64, u64);
+        let mut profile_runs: Vec<(ProfileRun, Vec<PredictorConfig>)> = Vec::new();
+        for &i in &work {
+            let spec = &specs[i];
+            if rejections[i].is_some() || spec.scheme == SelectionScheme::None {
+                continue;
             }
-            let next_group = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(groups.len()) {
-                    scope.spawn(|| loop {
-                        let g = next_group.fetch_add(1, Ordering::Relaxed);
-                        let Some(((benchmark, input, seed, budget), predictors)) = groups.get(g)
-                        else {
-                            break;
-                        };
-                        // A profiling run that panics is left to its cells,
-                        // which hit the same panic and report it.
-                        let _ = catch_unwind(AssertUnwindSafe(|| {
-                            cache.profile_bundle(*benchmark, *input, *seed, *budget, predictors)
-                        }));
-                    });
+            let input = spec.profile.profile_input(spec.measure_input);
+            let run = (spec.benchmark, input, spec.seed, spec.profile_budget());
+            let predictors = match profile_runs.iter_mut().find(|(k, _)| *k == run) {
+                Some((_, predictors)) => predictors,
+                None => {
+                    profile_runs.push((run, Vec::new()));
+                    &mut profile_runs.last_mut().expect("just pushed").1
                 }
-            });
+            };
+            if spec.scheme.needs_accuracy_profile() && !predictors.contains(&spec.predictor) {
+                predictors.push(spec.predictor);
+            }
         }
-
-        // The unit of work a worker pulls: with lockstep on, every runnable
-        // cell sharing a measurement stream — the same
-        // `(benchmark, measure_input, seed, measure_budget)` — forms one
-        // group whose members ride a single traversal; with lockstep off (or
-        // for cells whose stream is unique) groups are singletons and each
-        // cell takes its own traversal, exactly the classic protocol.
-        let groups: Vec<Vec<usize>> = if lockstep {
-            type MeasureKey = (Benchmark, InputSet, u64, u64);
-            let mut grouped: Vec<(MeasureKey, Vec<usize>)> = Vec::new();
-            for &i in &work {
-                let spec = &specs[i];
-                let key = (
-                    spec.benchmark,
-                    spec.measure_input,
-                    spec.seed,
-                    spec.measure_budget(),
-                );
-                match grouped.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, members)) => members.push(i),
-                    None => grouped.push((key, vec![i])),
-                }
+        let next_run = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..threads.min(profile_runs.len()) {
+                scope.spawn(|| loop {
+                    let r = next_run.fetch_add(1, Ordering::Relaxed);
+                    let Some(((benchmark, input, seed, budget), predictors)) = profile_runs.get(r)
+                    else {
+                        break;
+                    };
+                    // A profiling run that panics is left to its cells,
+                    // which hit the same panic and report it.
+                    let _ = catch_unwind(AssertUnwindSafe(|| {
+                        cache.profile_bundle(*benchmark, *input, *seed, *budget, predictors)
+                    }));
+                });
             }
-            grouped.into_iter().map(|(_, members)| members).collect()
-        } else {
-            work.iter().map(|&i| vec![i]).collect()
-        };
+        });
+
+        // The unit of work a worker pulls: every runnable cell sharing a
+        // measurement stream — the same
+        // `(benchmark, measure_input, seed, measure_budget)` — forms one
+        // group whose members ride a single traversal; a cell whose stream
+        // is unique forms a group of one.
+        type MeasureKey = (Benchmark, InputSet, u64, u64);
+        let mut grouped: Vec<(MeasureKey, Vec<usize>)> = Vec::new();
+        for &i in &work {
+            let spec = &specs[i];
+            let key = (
+                spec.benchmark,
+                spec.measure_input,
+                spec.seed,
+                spec.measure_budget(),
+            );
+            match grouped.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, members)) => members.push(i),
+                None => grouped.push((key, vec![i])),
+            }
+        }
+        let groups: Vec<Vec<usize>> = grouped.into_iter().map(|(_, members)| members).collect();
 
         let total = specs.len();
         let next = AtomicUsize::new(0);
@@ -411,7 +370,7 @@ impl Sweep {
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
-                    let lab = Lab::with_cache(Arc::clone(&cache)).with_fusion(fuse);
+                    let lab = Lab::with_cache(Arc::clone(&cache));
                     loop {
                         let slot = next.fetch_add(1, Ordering::Relaxed);
                         let Some(group) = groups.get(slot) else {
@@ -835,33 +794,38 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
+    /// The oracle: every spec run alone through one serial [`Lab`].
+    fn serial_reports(specs: &[ExperimentSpec]) -> (Vec<Report>, CacheStats) {
+        let lab = Lab::new();
+        let reports = specs.iter().map(|s| lab.run(s).unwrap()).collect();
+        (reports, lab.cache().stats())
+    }
+
     #[test]
-    fn fusion_off_matches_fused_results_bit_for_bit() {
+    fn pooled_prewarm_matches_serial_lab_bit_for_bit() {
         let fused = Sweep::new(grid()).with_threads(2).run();
-        let unfused = Sweep::new(grid()).with_threads(2).with_fusion(false).run();
+        let (serial, serial_stats) = serial_reports(&grid());
         // grid(): per benchmark, one profiling run feeds a bias profile and
-        // two accuracy profiles (512 B and 1 KB gshare) — fusing the three
-        // saves two traversals, times two benchmarks.
+        // two accuracy profiles (512 B and 1 KB gshare) — pooling the three
+        // saves two traversals, times two benchmarks. A serial lab fuses
+        // only within one cell: the 512 B cell's bias + accuracy.
         assert_eq!(
             fused.cache_stats.fused_traversals_saved, 4,
             "{}",
             fused.cache_stats
         );
-        assert_eq!(unfused.cache_stats.fused_traversals_saved, 0);
+        assert_eq!(serial_stats.fused_traversals_saved, 2, "{serial_stats}");
         assert_eq!(
             fused.into_reports().unwrap(),
-            unfused.into_reports().unwrap(),
+            serial,
             "fusion must not change a single bit of the results"
         );
     }
 
     #[test]
-    fn lockstep_off_matches_lockstep_results_bit_for_bit() {
+    fn lockstep_sweep_matches_serial_lab_bit_for_bit() {
         let locked = Sweep::new(grid()).with_threads(2).run();
-        let sequential = Sweep::new(grid())
-            .with_threads(2)
-            .with_lockstep(false)
-            .run();
+        let (serial, serial_stats) = serial_reports(&grid());
         // grid(): two measurement streams (one per benchmark), four cells
         // each — lockstep saves three traversals per stream.
         assert_eq!(
@@ -869,10 +833,10 @@ mod tests {
             "{}",
             locked.cache_stats
         );
-        assert_eq!(sequential.cache_stats.lockstep_traversals_saved, 0);
+        assert_eq!(serial_stats.lockstep_traversals_saved, 0);
         assert_eq!(
             locked.into_reports().unwrap(),
-            sequential.into_reports().unwrap(),
+            serial,
             "lockstep must not change a single bit of the results"
         );
     }
@@ -880,18 +844,15 @@ mod tests {
     #[test]
     fn lockstep_groups_survive_rejected_members() {
         let mut specs = grid();
-        specs[0].measure_instructions = Some(0); // strict-mode rejection
+        specs[0].measure_instructions = Some(0); // validation rejects it
         let result = Sweep::new(specs.clone()).with_threads(2).run();
         assert!(matches!(
             result.cells[0].report,
             Err(ExperimentError::Rejected { .. })
         ));
-        let baseline = Sweep::new(specs).with_threads(2).with_lockstep(false).run();
-        for (locked, sequential) in result.cells.iter().zip(&baseline.cells).skip(1) {
-            assert_eq!(
-                locked.report.as_ref().unwrap(),
-                sequential.report.as_ref().unwrap()
-            );
+        let (serial, _) = serial_reports(&specs[1..]);
+        for (locked, sequential) in result.cells[1..].iter().zip(&serial) {
+            assert_eq!(locked.report.as_ref().unwrap(), sequential);
         }
     }
 
@@ -973,18 +934,6 @@ mod tests {
                 assert!(cell.report.is_ok());
             }
         }
-    }
-
-    #[test]
-    fn strict_mode_can_be_disabled() {
-        let mut specs = grid()[..2].to_vec();
-        specs[0].warmup_instructions = u64::MAX;
-        let lax = Sweep::new(specs).with_strict(false).with_threads(1).run();
-        assert!(
-            lax.cells[0].report.is_ok(),
-            "lax mode runs the degenerate cell: {:?}",
-            lax.cells[0].report
-        );
     }
 
     #[test]

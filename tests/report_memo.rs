@@ -137,11 +137,12 @@ fn repeats_across_sweeps_and_without_lockstep_equal_fresh_runs() {
     );
     assert_eq!(second.into_reports().unwrap(), want);
 
-    // One worker, one cell per group: each repeat finds its first
-    // occurrence already memoized.
-    let unlocked = Sweep::new(specs).with_threads(1).with_lockstep(false).run();
-    assert_eq!(unlocked.cache_stats.report_hits, REPEATS);
-    assert_eq!(unlocked.into_reports().unwrap(), want);
+    // Per-spec runs on one lab, each a group of one: each repeat finds its
+    // first occurrence already memoized.
+    let lab = Lab::new();
+    let serial: Vec<Report> = specs.iter().map(|s| lab.run(s).unwrap()).collect();
+    assert_eq!(lab.cache().stats().report_hits, REPEATS);
+    assert_eq!(serial, want);
 }
 
 #[test]

@@ -6,10 +6,10 @@
 //! same order. These tests pin that contract on a miniature figure-style
 //! grid, including the collision breakdowns that drive Figures 1–6.
 
-use sdbp::core::{ExperimentSpec, Lab, Sweep};
+use sdbp::core::{spec_digest, ExperimentSpec, Lab, ManifestEntry, RunStore, Sweep};
 use sdbp::predictors::{PredictorConfig, PredictorKind};
 use sdbp::profiles::SelectionScheme;
-use sdbp::workloads::Benchmark;
+use sdbp::workloads::{Benchmark, InputSet};
 use std::sync::Arc;
 
 /// A small figure-style grid: 2 benchmarks × 2 sizes × 2 schemes.
@@ -128,4 +128,74 @@ fn sweep_cache_is_shareable_across_sweeps() {
         warm.into_reports().unwrap(),
         "cache reuse must not change results"
     );
+}
+
+/// The cells of `sdbp grid --benchmark compress --size 2048
+/// --instructions 400000`: every paper predictor × the default schemes,
+/// in the CLI's predictor-major order.
+fn cli_grid() -> Vec<ExperimentSpec> {
+    let mut specs = Vec::new();
+    for kind in PredictorKind::PAPER {
+        let config = PredictorConfig::new(kind, 2048).unwrap();
+        for scheme in [
+            SelectionScheme::None,
+            SelectionScheme::static_95(),
+            SelectionScheme::static_acc(),
+        ] {
+            let mut spec = ExperimentSpec::self_trained(Benchmark::Compress, config, scheme)
+                .with_seed(2000)
+                .with_measure_input(InputSet::Ref);
+            spec.measure_instructions = Some(400_000);
+            spec.profile_instructions = Some(400_000);
+            specs.push(spec);
+        }
+    }
+    specs
+}
+
+/// The CLI grid through a durable two-thread sweep — pooled profiling and
+/// lockstep measurement — agrees with each cell run alone on a fresh lab:
+/// reports, every manifest line, and savings the summary reports.
+#[test]
+fn cli_grid_sweep_matches_fresh_lab_oracle() {
+    let specs = cli_grid();
+    assert_eq!(specs.len(), 15);
+    let store = std::env::temp_dir().join(format!("sdbp-cli-grid-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let result = Sweep::new(specs.clone())
+        .with_threads(2)
+        .with_store(&store)
+        .run();
+    let summary = result.summary();
+    let stats = result.cache_stats;
+    let reports = result.into_reports().unwrap();
+    let oracle: Vec<_> = specs.iter().map(|s| Lab::new().run(s).unwrap()).collect();
+    assert_eq!(reports, oracle);
+
+    // Each line, up to its own wall clock, is the line the oracle report
+    // renders to.
+    let text = std::fs::read_to_string(RunStore::manifest_path(&store)).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), specs.len());
+    let mut cells = Vec::new();
+    for (n, line) in lines.iter().enumerate() {
+        let entry = ManifestEntry::parse_line(line, n + 1).unwrap();
+        let want = ManifestEntry {
+            cell: entry.cell,
+            spec_digest: spec_digest(&specs[entry.cell]),
+            wall_ms: entry.wall_ms,
+            outcome: Ok(oracle[entry.cell].clone()),
+        };
+        assert_eq!(*line, want.to_line(), "manifest line {}", n + 1);
+        cells.push(entry.cell);
+    }
+    cells.sort_unstable();
+    assert_eq!(cells, (0..specs.len()).collect::<Vec<_>>());
+
+    assert!(stats.fused_traversals_saved > 0, "{stats}");
+    assert!(stats.lockstep_traversals_saved > 0, "{stats}");
+    for part in ["saved by fusion", "saved by lockstep", "cell Mbr/s"] {
+        assert!(summary.contains(part), "{part}: {summary}");
+    }
+    std::fs::remove_dir_all(&store).ok();
 }
